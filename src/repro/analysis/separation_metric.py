@@ -14,10 +14,11 @@ it exactly requires searching over subsets.  We provide:
 * :func:`is_separated_exact` — exhaustive search, exponential in ``n``
   (practical to ``n`` around 18; used on enumerated small systems);
 * :func:`best_certificate` — polynomial-time certificate search combining
-  monochromatic-cluster unions and minimum-cut relaxations (via
-  networkx max-flow).  Certificates are always *verified* against the
-  definition before being returned, so a returned certificate is sound;
-  only completeness (failing to find an R that exists) is heuristic.
+  monochromatic-cluster unions and minimum-cut relaxations (an exact
+  integer max-flow on the particle adjacency).  Certificates are always
+  *verified* against the definition before being returned, so a returned
+  certificate is sound; only completeness (failing to find an R that
+  exists) is heuristic.
 
 Both colors are tried as the reference color ``c1`` — the definition
 names a specific color, but a system separated with respect to either
@@ -29,9 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.lattice.triangular import NEIGHBOR_OFFSETS, Node
 from repro.system.configuration import ParticleSystem
@@ -188,41 +187,161 @@ def _cluster_union_candidates(
     return candidates
 
 
+#: Capacities of the min-cut relaxation, counted in quarters so the
+#: max-flow stays integral: a configuration edge is 4, and the terminal
+#: edges sweep the misclassification penalty μ = 0.25, 0.5, 1, 2, 4.
+_EDGE_CAPACITY = 4
+_TERMINAL_CAPACITIES = (1, 2, 4, 8, 16)
+
+
+def _sink_reachable(
+    arcs: List[List[int]], heads: List[int], cap: List[int], source: int, sink: int
+) -> List[bool]:
+    """Max-flow from ``source`` to ``sink`` (Dinic), then residual reachability.
+
+    Arcs come in pairs: arc ``a`` runs to ``heads[a]`` and ``a ^ 1`` is its
+    reverse; ``arcs[u]`` lists the arcs leaving ``u``.  ``cap`` holds the
+    residual capacities and is updated in place.  Returns, per node,
+    whether it can still reach ``sink`` in the residual graph of the
+    maximum flow.  The nodes that cannot reach it form the maximal
+    source side of a minimum cut, which is the same for every maximum
+    flow.
+    """
+    size = len(arcs)
+    while True:
+        level = [-1] * size
+        level[source] = 0
+        queue = [source]
+        for u in queue:
+            for a in arcs[u]:
+                v = heads[a]
+                if cap[a] and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        if level[sink] < 0:
+            break
+        # Blocking flow along the level graph: advance along admissible
+        # arcs, augment at the sink, retreat from dead ends.
+        cursor = [0] * size
+        path: List[int] = []
+        u = source
+        while True:
+            if u == sink:
+                pushed = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= pushed
+                    cap[a ^ 1] += pushed
+                saturated = next(k for k, a in enumerate(path) if not cap[a])
+                del path[saturated:]
+                u = heads[path[-1]] if path else source
+                continue
+            out = arcs[u]
+            end = len(out)
+            deeper = level[u] + 1
+            i = cursor[u]
+            while i < end:
+                a = out[i]
+                if cap[a] and level[heads[a]] == deeper:
+                    break
+                i += 1
+            cursor[u] = i
+            if i < end:
+                path.append(a)
+                u = heads[a]
+            elif u == source:
+                break
+            else:
+                u = heads[path.pop() ^ 1]
+                cursor[u] += 1
+    reachable = [False] * size
+    reachable[sink] = True
+    queue = [sink]
+    for v in queue:
+        for a in arcs[v]:
+            u = heads[a]
+            if cap[a ^ 1] and not reachable[u]:
+                reachable[u] = True
+                queue.append(u)
+    return reachable
+
+
 def _mincut_candidates(system: ParticleSystem, color: int) -> List[Set[Node]]:
     """Candidate regions from s-t minimum cuts.
 
-    Builds the configuration graph with unit capacities, attaches every
+    Takes the configuration graph with unit capacities, attaches every
     particle of the reference color to a super-source and every other
     particle to a super-sink with capacity μ, and sweeps the
     misclassification penalty μ.  Small μ tolerates impurities (few cut
     edges); large μ forces color purity.  Each min cut yields a candidate
-    R = source side.
+    R = the maximal source side.
     """
     colors = system.colors
-    graph = nx.Graph()
-    for (x, y), c in colors.items():
+    nodes = list(colors)
+    index = {node: i for i, node in enumerate(nodes)}
+    source, sink = len(nodes), len(nodes) + 1
+    arcs: List[List[int]] = [[] for _ in range(len(nodes) + 2)]
+    heads: List[int] = []
+
+    def add_pair(u: int, v: int) -> None:
+        arcs[u].append(len(heads))
+        heads.append(v)
+        arcs[v].append(len(heads))
+        heads.append(u)
+
+    for u, (x, y) in enumerate(nodes):
         for dx, dy in NEIGHBOR_OFFSETS:
-            nbr = (x + dx, y + dy)
-            if nbr in colors and (x, y) < nbr:
-                graph.add_edge((x, y), nbr, capacity=1.0)
-    source = "__source__"
-    sink = "__sink__"
+            v = index.get((x + dx, y + dy))
+            if v is not None and u < v:
+                add_pair(u, v)
+    edge_arcs = len(heads)
+    # One directed terminal arc per particle, after the edge arcs.
+    for u, node in enumerate(nodes):
+        if colors[node] == color:
+            add_pair(source, u)
+        else:
+            add_pair(u, sink)
     candidates: List[Set[Node]] = []
-    for mu in (0.25, 0.5, 1.0, 2.0, 4.0):
-        graph.add_node(source)
-        graph.add_node(sink)
-        for node, c in colors.items():
-            if c == color:
-                graph.add_edge(source, node, capacity=mu)
-            else:
-                graph.add_edge(node, sink, capacity=mu)
-        _, (source_side, _) = nx.minimum_cut(graph, source, sink)
-        region = {node for node in source_side if node != source}
+    for mu in _TERMINAL_CAPACITIES:
+        cap = [_EDGE_CAPACITY] * edge_arcs + [mu, 0] * len(nodes)
+        reachable = _sink_reachable(arcs, heads, cap, source, sink)
+        region = {node for u, node in enumerate(nodes) if not reachable[u]}
         if region and len(region) < len(colors):
             candidates.append(region)
-        graph.remove_node(source)
-        graph.remove_node(sink)
     return candidates
+
+
+def candidate_certificates(system: ParticleSystem) -> List[SeparationCertificate]:
+    """Every verified certificate the heuristics find, in search order.
+
+    For each reference color, the cluster-union regions and then the
+    min-cut regions, each measured by :func:`evaluate_region`;
+    degenerate regions are dropped.  The selection functions below pick
+    from this list, so one search serves any number of (β, δ) queries.
+    """
+    certificates: List[SeparationCertificate] = []
+    for color in range(system.num_colors):
+        candidates = _cluster_union_candidates(system, color)
+        candidates.extend(_mincut_candidates(system, color))
+        for region in candidates:
+            cert = evaluate_region(system, region, color)
+            if cert is not None:
+                certificates.append(cert)
+    return certificates
+
+
+def select_certificate(
+    certificates: Sequence[SeparationCertificate],
+    beta: Optional[float] = None,
+    delta: Optional[float] = None,
+) -> Optional[SeparationCertificate]:
+    """The best of ``certificates``, ranked as by :func:`best_certificate`."""
+    if not certificates:
+        return None
+    if beta is not None and delta is not None:
+        satisfying = [c for c in certificates if c.satisfies(beta, delta)]
+        if satisfying:
+            return min(satisfying, key=lambda c: c.beta_achieved)
+    return min(certificates, key=_certificate_badness)
 
 
 def best_certificate(
@@ -239,21 +358,7 @@ def best_certificate(
     smallest ``beta_achieved``).  Returns ``None`` when no nondegenerate
     candidate exists.
     """
-    certificates: List[SeparationCertificate] = []
-    for color in range(system.num_colors):
-        candidates = _cluster_union_candidates(system, color)
-        candidates.extend(_mincut_candidates(system, color))
-        for region in candidates:
-            cert = evaluate_region(system, region, color)
-            if cert is not None:
-                certificates.append(cert)
-    if not certificates:
-        return None
-    if beta is not None and delta is not None:
-        satisfying = [c for c in certificates if c.satisfies(beta, delta)]
-        if satisfying:
-            return min(satisfying, key=lambda c: c.beta_achieved)
-    return min(certificates, key=_certificate_badness)
+    return select_certificate(candidate_certificates(system), beta, delta)
 
 
 def _certificate_badness(cert: SeparationCertificate) -> float:
@@ -307,18 +412,12 @@ def minimum_beta_for_delta(
     system: ParticleSystem, delta: float
 ) -> Tuple[float, Optional[SeparationCertificate]]:
     """Smallest certified β at the given δ tolerance (∞ if none found)."""
-    best: Optional[SeparationCertificate] = None
-    for color in range(system.num_colors):
-        candidates = _cluster_union_candidates(system, color)
-        candidates.extend(_mincut_candidates(system, color))
-        for region in candidates:
-            cert = evaluate_region(system, region, color)
-            if cert is None:
-                continue
-            if cert.density_inside < 1.0 - delta or cert.density_outside > delta:
-                continue
-            if best is None or cert.beta_achieved < best.beta_achieved:
-                best = cert
-    if best is None:
+    qualifying = [
+        cert
+        for cert in candidate_certificates(system)
+        if cert.density_inside >= 1.0 - delta and cert.density_outside <= delta
+    ]
+    if not qualifying:
         return math.inf, None
+    best = min(qualifying, key=lambda c: c.beta_achieved)
     return best.beta_achieved, best

@@ -24,6 +24,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.separation_metric import candidate_certificates
 from repro.experiments.parallel import (
     DEFAULT_CODEC,
     CellTask,
@@ -212,8 +213,9 @@ def run_figure3(
         accumulated: Dict[str, float] = {}
         survivors = surviving(cell_results)
         for result in survivors:
-            votes.append(classify_phase(result.system, thresholds))
-            for name, value in phase_metrics(result.system).items():
+            certificates = candidate_certificates(result.system)
+            votes.append(classify_phase(result.system, thresholds, certificates))
+            for name, value in phase_metrics(result.system, certificates).items():
                 accumulated[name] = accumulated.get(name, 0.0) + value
         phases[key] = max(votes, key=votes.count) if votes else "failed"
         metrics[key] = {

@@ -14,10 +14,20 @@ solidly expanded-integrated).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from repro.analysis.compression_metric import alpha_of
-from repro.analysis.separation_metric import best_certificate
+from repro.analysis.separation_metric import (
+    SeparationCertificate,
+    candidate_certificates,
+    select_certificate,
+)
 from repro.system.configuration import ParticleSystem
+
+#: Certificates already found for a configuration by
+#: :func:`~repro.analysis.separation_metric.candidate_certificates`;
+#: ``None`` makes the function search itself.
+Certificates = Optional[Sequence[SeparationCertificate]]
 
 
 @dataclass(frozen=True)
@@ -47,7 +57,9 @@ def is_compressed_phase(
 
 
 def is_separated_phase(
-    system: ParticleSystem, thresholds: PhaseThresholds = PhaseThresholds()
+    system: ParticleSystem,
+    thresholds: PhaseThresholds = PhaseThresholds(),
+    certificates: Certificates = None,
 ) -> bool:
     """Whether the configuration is on the separated side of the diagram.
 
@@ -60,26 +72,34 @@ def is_separated_phase(
     hetero_density = system.hetero_total / system.edge_total
     if hetero_density > thresholds.hetero_density_max:
         return False
-    certificate = best_certificate(system, thresholds.beta_max, thresholds.delta)
-    return certificate is not None and certificate.satisfies(
-        thresholds.beta_max, thresholds.delta
+    if certificates is None:
+        certificates = candidate_certificates(system)
+    return any(
+        cert.satisfies(thresholds.beta_max, thresholds.delta)
+        for cert in certificates
     )
 
 
 def classify_phase(
-    system: ParticleSystem, thresholds: PhaseThresholds = PhaseThresholds()
+    system: ParticleSystem,
+    thresholds: PhaseThresholds = PhaseThresholds(),
+    certificates: Certificates = None,
 ) -> str:
     """One of the four Figure 3 phase labels for a configuration."""
     compressed = is_compressed_phase(system, thresholds)
-    separated = is_separated_phase(system, thresholds)
+    separated = is_separated_phase(system, thresholds, certificates)
     side = "compressed" if compressed else "expanded"
     mix = "separated" if separated else "integrated"
     return f"{side}-{mix}"
 
 
-def phase_metrics(system: ParticleSystem) -> dict:
+def phase_metrics(
+    system: ParticleSystem, certificates: Certificates = None
+) -> dict:
     """The raw quantities behind the classification, for reporting."""
-    certificate = best_certificate(system)
+    if certificates is None:
+        certificates = candidate_certificates(system)
+    certificate = select_certificate(certificates)
     return {
         "alpha": alpha_of(system),
         "perimeter": system.perimeter(),

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from repro.analysis import separation_metric
 from repro.analysis.separation_metric import (
+    _mincut_candidates,
     best_certificate,
     cut_edge_count,
     evaluate_region,
@@ -14,12 +16,18 @@ from repro.analysis.separation_metric import (
     separation_quality,
     verify_certificate,
 )
+from repro.core.separation_chain import SeparationChain
+from repro.lattice.triangular import NEIGHBOR_OFFSETS
 from repro.system.configuration import ParticleSystem
 from repro.system.initializers import (
     checkerboard_system,
     hexagon_system,
+    random_blob_system,
     separated_system,
 )
+
+#: (λ, γ) at the four corners of the Figure 3 grid.
+FIGURE3_CORNERS = ((0.5, 0.8), (0.5, 6.0), (6.0, 0.8), (6.0, 6.0))
 
 
 def sorted_line(n, colors):
@@ -136,3 +144,89 @@ class TestQualitySummaries:
     def test_min_beta_unseparable(self):
         beta, cert = minimum_beta_for_delta(checkerboard_system(36), delta=0.01)
         assert beta == math.inf or beta > 2.0
+
+
+def certifier_corpus():
+    """Seeded configurations for the networkx oracle: ``(label, system)``.
+
+    Random blobs at four sizes, plus short-chain endpoints at the four
+    Figure 3 corners (expanded/compressed, integrated/separated).
+    """
+    corpus = [
+        (f"blob n={n} seed={seed}", random_blob_system(n, seed=seed))
+        for n in (20, 50, 100, 200)
+        for seed in range(3)
+    ]
+    for index, (lam, gamma) in enumerate(FIGURE3_CORNERS):
+        system = random_blob_system(100, seed=2018)
+        SeparationChain(system, lam=lam, gamma=gamma, seed=300 + index).run(20_000)
+        corpus.append((f"chain lam={lam} gamma={gamma}", system))
+    return corpus
+
+
+def networkx_mincut_candidates(system, color):
+    """Reference min-cut regions from ``nx.minimum_cut``.
+
+    The configuration graph has unit capacities; each particle of
+    ``color`` hangs off a super-source, every other particle off a
+    super-sink, with capacity μ.  The region is the source side
+    networkx returns, for each μ.
+    """
+    nx = pytest.importorskip("networkx")
+    colors = system.colors
+    graph = nx.Graph()
+    for (x, y) in colors:
+        for dx, dy in NEIGHBOR_OFFSETS:
+            nbr = (x + dx, y + dy)
+            if nbr in colors and (x, y) < nbr:
+                graph.add_edge((x, y), nbr, capacity=1.0)
+    source, sink = "__source__", "__sink__"
+    candidates = []
+    for mu in (0.25, 0.5, 1.0, 2.0, 4.0):
+        graph.add_node(source)
+        graph.add_node(sink)
+        for node, c in colors.items():
+            if c == color:
+                graph.add_edge(source, node, capacity=mu)
+            else:
+                graph.add_edge(node, sink, capacity=mu)
+        _, (source_side, _) = nx.minimum_cut(graph, source, sink)
+        region = {node for node in source_side if node != source}
+        if region and len(region) < len(colors):
+            candidates.append(region)
+        graph.remove_node(source)
+        graph.remove_node(sink)
+    return candidates
+
+
+def certificate_answers(system):
+    """Every selection the certifier offers, as comparable values."""
+    return (
+        best_certificate(system),
+        best_certificate(system, beta=4.0, delta=0.2),
+        best_certificate(system, beta=1.0, delta=0.05),
+        minimum_beta_for_delta(system, delta=0.2),
+        minimum_beta_for_delta(system, delta=0.05),
+    )
+
+
+class TestNetworkxOracle:
+    def test_lattice_max_flow_matches_networkx(self, monkeypatch):
+        """Same regions for both colors and all five μ, and the same
+        certificates once the networkx regions are substituted."""
+        pytest.importorskip("networkx")
+        for label, system in certifier_corpus():
+            reference = {
+                color: networkx_mincut_candidates(system, color)
+                for color in range(system.num_colors)
+            }
+            for color, regions in reference.items():
+                assert _mincut_candidates(system, color) == regions, (label, color)
+            answers = certificate_answers(system)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    separation_metric,
+                    "_mincut_candidates",
+                    lambda _, color: reference[color],
+                )
+                assert certificate_answers(system) == answers, label

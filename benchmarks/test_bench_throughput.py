@@ -20,6 +20,13 @@ payload envelope; see ``docs/performance.md`` for the schema), and
   (default 2.5, below the ~3x+ the replica-batched NumPy kernel
   delivers on quiet hardware).
 
+The guards run at λ = γ = 4, the separated regime where acceptance is
+about 0.03.  The payload also tracks one unguarded high-acceptance
+pair at λ = 4, γ = 1 (acceptance about 0.45, the integrated regime),
+n = 100: the grid kernel and the batch kernel at R = 16.  Each batch
+round applies at most one accepted step per replica, so this regime
+sets the batch kernel's floor.
+
 Like the observability overhead guard, the assertions use best-of-N
 wall timing so they also run under ``--benchmark-disable`` in CI.
 """
@@ -62,8 +69,13 @@ DEFAULT_BATCH_SPEEDUP_MIN = 2.5
 #: Schema version of the BENCH_throughput.json payload body (the
 #: envelope's ``format_version`` is versioned separately).  Version 2
 #: adds the batch-kernel rows (``replica_steps_per_sec``), the numpy
-#: version, and the git commit hash.
-BENCH_VERSION = 2
+#: version, and the git commit hash; version 3 the ``high_acceptance``
+#: section.
+BENCH_VERSION = 3
+
+#: The tracked high-acceptance point: (λ, γ, n, batch replicas, steps).
+#: Steps match one replica-stack cell of the end-to-end benchmark.
+HIGH_ACCEPTANCE = dict(lam=4.0, gamma=1.0, n=100, replicas=16, steps=30_000)
 
 
 def _git_commit() -> str:
@@ -81,9 +93,11 @@ def _git_commit() -> str:
         return "unknown"
 
 
-def _kernel_chain(n: int, kernel: str) -> SeparationChain:
+def _kernel_chain(
+    n: int, kernel: str, lam: float = 4.0, gamma: float = 4.0
+) -> SeparationChain:
     system = hexagon_system(n, seed=1)
-    return SeparationChain(system, lam=4.0, gamma=4.0, seed=1, backend=kernel)
+    return SeparationChain(system, lam=lam, gamma=gamma, seed=1, backend=kernel)
 
 
 #: Steps per timed round of the speedup guard.  Longer than the
@@ -92,7 +106,14 @@ def _kernel_chain(n: int, kernel: str) -> SeparationChain:
 GUARD_STEPS = 60_000
 
 
-def _steps_per_sec(n: int, kernel: str, steps: int, rounds: int = 5) -> float:
+def _steps_per_sec(
+    n: int,
+    kernel: str,
+    steps: int,
+    rounds: int = 5,
+    lam: float = 4.0,
+    gamma: float = 4.0,
+) -> float:
     """Best-of-``rounds`` steps/second (robust to scheduler noise).
 
     A fresh chain per round keeps the workload identical across rounds
@@ -100,7 +121,7 @@ def _steps_per_sec(n: int, kernel: str, steps: int, rounds: int = 5) -> float:
     """
     best = float("inf")
     for _ in range(rounds):
-        chain = _kernel_chain(n, kernel)
+        chain = _kernel_chain(n, kernel, lam, gamma)
         chain.run(2_000)  # warm caches and the arena build
         start = time.perf_counter()
         chain.run(steps)
@@ -116,7 +137,12 @@ BATCH_GUARD_STEPS = 60_000
 
 
 def _batch_replica_steps_per_sec(
-    n: int, replicas: int, steps: int, rounds: int = 3
+    n: int,
+    replicas: int,
+    steps: int,
+    rounds: int = 3,
+    lam: float = 4.0,
+    gamma: float = 4.0,
 ) -> float:
     """Best-of-``rounds`` *aggregate* replica-steps/second.
 
@@ -127,7 +153,7 @@ def _batch_replica_steps_per_sec(
     best = float("inf")
     for _ in range(rounds):
         system = hexagon_system(n, seed=1)
-        kernel = BatchKernel(system, 4.0, 4.0, replicas=replicas, seed=1)
+        kernel = BatchKernel(system, lam, gamma, replicas=replicas, seed=1)
         kernel.run(2_000)  # warm the arena, tables, and RNG buffers
         start = time.perf_counter()
         kernel.run(steps)
@@ -268,6 +294,24 @@ def test_kernel_speedup_guard_and_baseline():
         speedups[str(n)] = rates["grid"] / rates["dict"]
         batch_speedups[str(n)] = batch_rate / rates["grid"]
 
+    point = HIGH_ACCEPTANCE
+    where = dict(lam=point["lam"], gamma=point["gamma"])
+    high_grid = _steps_per_sec(point["n"], "grid", point["steps"], **where)
+    high_batch = _batch_replica_steps_per_sec(
+        point["n"], point["replicas"], point["steps"], **where
+    )
+    high_acceptance = {
+        **point,
+        "cells": [
+            {"n": point["n"], "kernel": "grid", "steps": point["steps"],
+             "steps_per_sec": high_grid},
+            {"n": point["n"], "kernel": "batch",
+             "replicas": point["replicas"], "steps": point["steps"],
+             "replica_steps_per_sec": high_batch},
+        ],
+        "batch_speedup": high_batch / high_grid,
+    }
+
     payload = {
         "benchmark": "kernel_throughput",
         "version": BENCH_VERSION,
@@ -284,6 +328,7 @@ def test_kernel_speedup_guard_and_baseline():
         "cells": cells,
         "speedups": speedups,
         "batch_speedups": batch_speedups,
+        "high_acceptance": high_acceptance,
         "speedup_min": threshold,
         "batch_speedup_min": batch_threshold,
     }
@@ -306,6 +351,12 @@ def test_kernel_speedup_guard_and_baseline():
             f"batch/grid speedup n={n} (R={BATCH_REPLICAS}): "
             f"{batch_speedups[str(n)]:.2f}x"
             for n in KERNEL_SIZES
+        ]
+        + [
+            f"gamma={point['gamma']:g} n={point['n']}: grid "
+            f"{high_grid:,.0f} steps/s, batch (R={point['replicas']}) "
+            f"{high_batch:,.0f} replica-steps/s, "
+            f"{high_acceptance['batch_speedup']:.2f}x"
         ]
     )
     print(f"\n=== kernel_throughput ===\n{summary}")

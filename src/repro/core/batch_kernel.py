@@ -11,7 +11,7 @@ Design — speculative proposal windows
 
 A Metropolis step depends on the *current* configuration, so naive
 vectorization across time is unsound.  The batch kernel instead
-exploits the chain's low acceptance rate (most proposals reject):
+speculates on rejections:
 
 1. For each replica, evaluate a *window* of ``W`` future proposals
    against the block-start configuration (vectorized across the
@@ -31,6 +31,14 @@ bit-exact against a sequential re-execution of its own streams, and
 statistically against the reference ``random.Random`` kernels (whose
 draw sequence differs; see ``tests/test_batch_statistical.py``).
 
+A round consumes about ``1 / a`` steps per replica at acceptance rate
+``a``, so the useful width depends on the regime: the separated regime
+(``a ≈ 0.03``) wants wide windows, the integrated regime (``a ≈ 0.45``)
+wastes almost every speculative proposal past the first few.  Each
+round therefore picks ``W = clamp(⌈4 / â⌉, 8, window)``, where ``â`` is
+the kernel's acceptance so far (accepted steps over consumed steps,
+summed over replicas) and the constructor's ``window`` is the cap.
+
 RNG regime
 ----------
 
@@ -40,6 +48,20 @@ a *different stream discipline* from the scalar kernels (which share a
 ``random.Random`` and skip the ``q`` draw when the bias ratio is ≥ 1),
 so batch trajectories are not bit-comparable to ``dict``/``grid``
 trajectories — only distributionally equivalent.
+
+Each replica's stream is the concatenation of fixed-size ``(3,
+RNG_CHUNK)`` blocks drawn from its own generator.  A row holds up to two
+blocks: when the next window would run past the row's fill level, the
+unconsumed tail moves to the front and one fresh block is appended, so
+no draw is ever discarded.  A replica's step sequence is therefore a
+pure function of its seed, which gives three bit-exact invariances:
+
+- **window** — the width (fixed or adaptive, any cap) never changes a
+  trajectory;
+- **chunking** — ``run(a); run(b)`` equals ``run(a + b)``, so adaptive
+  runs that stop at iteration ``X`` are exact prefixes of ``run(X)``;
+- **grouping** — with per-replica seeds, a replica's trajectory does
+  not depend on which other replicas share its kernel.
 
 Counters are maintained incrementally (O(1) per accepted step): total
 edges, heterogeneous edges, accepted moves/swaps.  ``export_system``
@@ -70,8 +92,16 @@ __all__ = ["BatchKernel", "DEFAULT_WINDOW", "RNG_CHUNK"]
 #: Per-replica random-draw chunk size (uniforms are generated in blocks).
 RNG_CHUNK = 8192
 
-#: Default speculative-window width (benchmarked optimum at n=100, R=32).
+#: Default cap on the speculative-window width (benchmarked optimum of a
+#: fixed window at n=100, R=32 in the separated regime).
 DEFAULT_WINDOW = 56
+
+#: Target accepted proposals per replica per round; the adaptive width
+#: is ``⌈_WINDOW_ACCEPTS / â⌉`` before clamping.
+_WINDOW_ACCEPTS = 4
+
+#: Floor of the adaptive width (below it the per-round overhead wins).
+_WINDOW_MIN = 8
 
 #: Padding margin (in cells) around the bounding box; doubled on regrow.
 _MARGIN = 8
@@ -148,7 +178,9 @@ class BatchKernel:
     swaps:
         Enable the heterogeneous swap move (disable for compression).
     window:
-        Speculative-window width ``W``.
+        Cap on the speculative-window width; each round picks its own
+        width below it from the acceptance so far.  Never changes a
+        trajectory.
     """
 
     def __init__(
@@ -197,20 +229,24 @@ class BatchKernel:
         T = RNG_CHUNK
         self.T = T
         R = self.R
-        # Per-replica proposal streams (refilled per row when exhausted).
-        self.IDXG = np.empty((R, T), dtype=np.int64)  # particle idx + r*n baked
-        self.D = np.empty((R, T), dtype=np.int64)
-        self.MD = np.empty((R, T), dtype=np.int64)  # MDELT[D]; refreshed on regrow
-        self.Q = np.empty((R, T), dtype=np.float64)
-        self.cursor = np.full(R, T, dtype=np.int64)  # exhausted → refill on first run
+        # Per-replica proposal streams: row r holds draws
+        # [cursor[r], fill[r]) still to be consumed, in a buffer of two
+        # blocks (the tail left by a refill is shorter than a window).
+        # Zero-initialised so the regrow's MDELT[D] never reads garbage.
+        self.IDXG = np.zeros((R, 2 * T), dtype=np.int64)  # particle idx + r*n baked
+        self.D = np.zeros((R, 2 * T), dtype=np.int64)
+        self.MD = np.zeros((R, 2 * T), dtype=np.int64)  # MDELT[D]; refreshed on regrow
+        self.Q = np.zeros((R, 2 * T), dtype=np.float64)
+        self.cursor = np.zeros(R, dtype=np.int64)
+        self.fill = np.zeros(R, dtype=np.int64)  # empty → refill on first run
         # Incremental per-replica observables.
         self.edge = np.full(R, system.edge_total, dtype=np.int64)
         self.het = np.full(R, system.hetero_total, dtype=np.int64)
         self.iters = np.zeros(R, dtype=np.int64)
         self.acc_moves = np.zeros(R, dtype=np.int64)
         self.acc_swaps = np.zeros(R, dtype=np.int64)
-        self.rowT = np.arange(R, dtype=np.int64) * T
-        self.WIN = np.arange(self.window, dtype=np.int64)
+        self.rowT = np.arange(R, dtype=np.int64) * (2 * T)
+        self._wins: Dict[int, np.ndarray] = {}  # width → arange(width)
         # Optional round-level observer (duck-typed: anything with a
         # ``maybe_observe(kernel)`` method, e.g. the streaming
         # convergence diagnostics in repro.obs.convergence).  Called
@@ -264,16 +300,39 @@ class BatchKernel:
         self._geometry(W, H)
 
     def _refill(self, rows: np.ndarray) -> None:
-        """Regenerate the proposal stream for the given replica rows."""
-        n = self.n
+        """Append one fresh block to each given row, keeping its tail.
+
+        The unconsumed draws ``[cursor, fill)`` move to the front of the
+        row and the next ``(3, T)`` block of the replica's generator
+        follows them, so the stream never skips a draw whatever the
+        window width or ``run()`` chunking that triggered the refill.
+        """
+        n, T = self.n, self.T
+        streams = (self.IDXG, self.D, self.MD, self.Q)
         for r in rows:
-            u = self.gens[r].random((3, self.T))
-            self.IDXG[r] = (u[0] * n).astype(np.int64) + r * n
+            start, end = self.cursor[r], self.fill[r]
+            tail = end - start
+            if tail:
+                for stream in streams:
+                    stream[r, :tail] = stream[r, start:end]
+            u = self.gens[r].random((3, T))
+            block = slice(tail, tail + T)
+            self.IDXG[r, block] = (u[0] * n).astype(np.int64) + r * n
             d = (u[1] * 6).astype(np.int64)
-            self.D[r] = d
-            self.MD[r] = self.MDELT[d]
-            self.Q[r] = u[2]
+            self.D[r, block] = d
+            self.MD[r, block] = self.MDELT[d]
+            self.Q[r, block] = u[2]
+            self.fill[r] = tail + T
         self.cursor[rows] = 0
+
+    def _width(self, seen: int, accepted: int) -> int:
+        """Speculative width for acceptance ``accepted / seen``."""
+        cap = self.window
+        if accepted:
+            cap = min(
+                cap, max(_WINDOW_MIN, -(-_WINDOW_ACCEPTS * seen // accepted))
+            )
+        return cap
 
     # -- parameters ---------------------------------------------------------
 
@@ -316,25 +375,42 @@ class BatchKernel:
             if steps == 0:
                 return
             remaining = np.full(self.R, steps, dtype=np.int64)
-        W = self.window
         R = self.R
-        WIN = self.WIN
         RATIO2, SRATIO = self.RATIO2, self.SRATIO
         swaps = self.swaps
         posf = np.empty(R, dtype=np.int64)
         tstar = np.empty(R, dtype=np.int64)
+        # Acceptance so far, kept as two running totals: the width is a
+        # pure function of the counters, so a restored kernel picks the
+        # same widths as one that was never stopped.
+        seen = int(self.iters.sum())
+        accepted = int(self.acc_moves.sum()) + int(self.acc_swaps.sum())
+        wins = self._wins
+        # Refills and regrows write the streams in place, so flat views
+        # taken once stay valid for the whole call.
+        IDXGf = self.IDXG.ravel()
+        Df = self.D.ravel()
+        MDf = self.MD.ravel()
+        Qf = self.Q.ravel()
+        # Lower bound on min(fill - cursor): a round consumes at most W
+        # per replica, so the exact refill test can wait until it drops
+        # below the width.
+        slack = 0
         while True:
             if not (remaining > 0).any():
                 break
-            refill = (self.cursor + W > self.T).nonzero()[0]
-            if refill.size:
-                self._refill(refill)
+            W = self._width(seen, accepted)
+            WIN = wins.get(W)
+            if WIN is None:
+                WIN = wins[W] = np.arange(W, dtype=np.int64)
+            if slack < W:
+                refill = (self.cursor + W > self.fill).nonzero()[0]
+                if refill.size:
+                    self._refill(refill)
+                slack = int((self.fill - self.cursor).min())
+            slack -= W
             arena = self.arena
             gpos = self.gpos
-            IDXGf = self.IDXG.ravel()
-            Df = self.D.ravel()
-            MDf = self.MD.ravel()
-            Qf = self.Q.ravel()
             flat = (self.cursor + self.rowT)[:, None] + WIN  # (R, W)
             flatr = flat.ravel()
             idxg = IDXGf[flatr]
@@ -424,10 +500,10 @@ class BatchKernel:
             self.cursor += consumed
             self.iters += consumed
             remaining -= consumed
+            seen += int(consumed.sum())
+            accepted += rows.size
             # Diagnostics hook: rounds are the natural sampling grain
-            # here — chunking run() itself would shift the proposal
-            # streams' refill points (the tail of each regenerated
-            # stream is discarded), changing trajectories.  The
+            # here (one call samples all R replicas in lock step).  The
             # observer only reads counters, so the streams are
             # untouched.
             if self.observer is not None:
@@ -552,12 +628,13 @@ class BatchKernel:
         the arenas, particle positions, proposal streams, and incremental
         counters.  The per-replica PCG64 bit-generator states ride along
         so :meth:`restore_state` resumes the *exact* draw sequence — the
-        unconsumed tails of the ``IDXG``/``D``/``Q`` streams plus
-        ``cursor`` are captured verbatim, because re-drawing them would
-        shift every refill point downstream.  ``MD`` is derived
-        (``MDELT[D]``) and the ratio tables are pure functions of
-        ``(lam, gamma)``, so both are recomputed on restore.  A restored
-        kernel is bit-identical to one that was never stopped.
+        ``IDXG``/``D``/``Q`` stream buffers plus ``cursor`` and ``fill``
+        are captured verbatim, because the unconsumed draws
+        ``[cursor, fill)`` already left the generators.  ``MD`` is
+        derived (``MDELT[D]``) and the ratio tables are pure functions
+        of ``(lam, gamma)``, so both are recomputed on restore.  The
+        window cap is not state: streams do not depend on it.  A
+        restored kernel is bit-identical to one that was never stopped.
         """
         return {
             "kind": "batch-kernel",
@@ -567,7 +644,6 @@ class BatchKernel:
             "replicas": self.R,
             "n": self.n,
             "num_colors": self.k,
-            "window": self.window,
             "width": self.W,
             "height": self.H,
             "ox": self.ox,
@@ -581,6 +657,7 @@ class BatchKernel:
                 "d": self.D,
                 "q": self.Q,
                 "cursor": self.cursor,
+                "fill": self.fill,
                 "edge": self.edge,
                 "het": self.het,
                 "iters": self.iters,
@@ -593,10 +670,12 @@ class BatchKernel:
         """Adopt a snapshot produced by :meth:`export_state`.
 
         The kernel must have been constructed for the same cell (same
-        ``lam``/``gamma``/``swaps``/``replicas``/``n``/``window``); the
-        constructor-built geometry and streams are discarded wholesale
-        and replaced by the snapshot's.  Raises ``ValueError`` on any
-        identity mismatch or malformed column — nothing is mutated
+        ``lam``/``gamma``/``swaps``/``replicas``/``n``; the window cap
+        may differ); the constructor-built geometry and streams are
+        discarded wholesale and replaced by the snapshot's.  Raises
+        ``ValueError`` on any identity mismatch or malformed column —
+        including a frame in the older one-block stream layout, whose
+        trajectories discarded stream tails — and nothing is mutated
         until every field has validated, so a failed restore leaves the
         kernel usable for a cold start.
         """
@@ -612,7 +691,6 @@ class BatchKernel:
             "replicas": self.R,
             "n": self.n,
             "num_colors": self.k,
-            "window": self.window,
         }
         for field, current in expected.items():
             if payload.get(field) != current:
@@ -639,6 +717,7 @@ class BatchKernel:
             d = np.array(columns["d"], dtype=np.int64)
             q = np.array(columns["q"], dtype=np.float64)
             cursor = np.array(columns["cursor"], dtype=np.int64)
+            fill = np.array(columns["fill"], dtype=np.int64)
             counters = {
                 name: np.array(columns[name], dtype=np.int64)
                 for name in ("edge", "het", "iters", "acc_moves", "acc_swaps")
@@ -648,10 +727,11 @@ class BatchKernel:
         shapes = {
             "arena": (arena, (R * A,)),
             "gpos": (gpos, (R * n,)),
-            "idxg": (idxg, (R, T)),
-            "d": (d, (R, T)),
-            "q": (q, (R, T)),
+            "idxg": (idxg, (R, 2 * T)),
+            "d": (d, (R, 2 * T)),
+            "q": (q, (R, 2 * T)),
             "cursor": (cursor, (R,)),
+            "fill": (fill, (R,)),
         }
         for name, (array, want) in shapes.items():
             if array.shape != want:
@@ -667,6 +747,8 @@ class BatchKernel:
                 )
         if (d < 0).any() or (d >= 6).any():
             raise ValueError("state column 'd' holds out-of-range directions")
+        if (cursor < 0).any() or (cursor > fill).any() or (fill > 2 * T).any():
+            raise ValueError("state columns 'cursor'/'fill' are out of range")
         self._margin = int(payload["margin"])
         self.W, self.H, self.A = W, H, A
         self.ox, self.oy = int(payload["ox"]), int(payload["oy"])
@@ -676,6 +758,7 @@ class BatchKernel:
         self.D = d
         self.Q = q
         self.cursor = cursor
+        self.fill = fill
         self.edge = counters["edge"]
         self.het = counters["het"]
         self.iters = counters["iters"]

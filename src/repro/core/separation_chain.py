@@ -665,8 +665,7 @@ class SeparationChain:
           refill ``horizon``, so the draw-ahead buffer evolves exactly
           as in one big call (the refill trigger depends only on
           buffer state, which then matches step for step).
-        * The batch backend is not segmented at all — chunking its
-          run() would shift proposal-stream refills — and relies on
+        * The batch backend is not segmented at all: it relies on
           the kernel's round-level observer hook instead, so its
           samples land on round (not stride) boundaries.
         """
@@ -729,10 +728,9 @@ class SeparationChain:
         often, because a full verdict walks every estimator.
 
         The batch backend is chunked at verdict-cadence boundaries
-        instead; chunking shifts the proposal streams' refill points,
-        so batch adaptive runs are statistically (not bit-wise)
-        equivalent to fixed-budget batch runs — the same caveat that
-        already separates the batch kernel from the scalar kernels.
+        instead.  Chunking never changes a batch trajectory (each
+        replica's proposal stream is a pure function of its seed), so
+        batch adaptive runs are bit-exact prefixes too.
         """
         from repro.obs.convergence import STOP_BUDGET, STOP_MAX_ITERATIONS
 

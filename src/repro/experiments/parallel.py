@@ -1519,10 +1519,9 @@ def _run_batch_group_body(
         # at verdict-cadence boundaries and let the replicas vote via
         # the group diagnostics' worst-replica fold + cross-replica
         # R-hat.  The whole group stops together, so all members stay
-        # lock-step (and share one stop reason).  Chunked runs shift
-        # the kernel's proposal refill points, so adaptive batch runs
-        # are statistically (not bit-wise) equivalent to fixed-budget
-        # ones — the scalar kernels keep bit-exact prefixes.  Verdict
+        # lock-step (and share one stop reason).  Chunking never
+        # changes a batch trajectory, so a group stopped at iteration X
+        # is a bit-exact prefix of a fixed run(X).  Verdict
         # boundaries are anchored to the *original* schedule
         # (``base + k·check_every``), so a warm-restored group checks
         # at exactly the points the uninterrupted run would have.

@@ -6,11 +6,19 @@ scalar kernels draw from ``random.Random``; the two are therefore
 *statistically* equivalent samplers of the same Markov chain, not bit-wise
 identical ones.  This file pins down both halves of that claim:
 
-**Exactness tests** — properties that must hold bit-for-bit:
+**Exactness tests** — properties that must hold bit-for-bit, over runs
+long enough to cross several proposal-stream refills (one per
+``RNG_CHUNK`` steps; refills carry the unconsumed tail over, so a
+replica's stream is a pure function of its seed):
 
-- the speculative window is an implementation detail: ``window=1`` (the
-  sequential reference, which evaluates one proposal at a time) and the
-  default wide window produce identical trajectories for the same seeds;
+- window invariance: the speculative window is an implementation
+  detail — ``window=1`` (the sequential reference, which evaluates one
+  proposal at a time), a narrow cap and the default cap on the adaptive
+  width produce identical trajectories for the same seeds, in both
+  acceptance regimes, with and without swaps;
+- chunking invariance: ``run(a); run(b)`` equals ``run(a + b)``, so a
+  batch group that stops adaptively at iteration ``X`` is a bit-exact
+  prefix of a fixed ``run(X)``;
 - grouping invariance: one R-replica kernel seeded with a per-replica
   seed list equals R independent single-replica kernels — the property
   that makes :class:`~repro.experiments.parallel.BatchRunner`'s task
@@ -36,17 +44,24 @@ import numpy as np
 import pytest
 
 from repro.analysis.compression_metric import alpha_of
-from repro.core.batch_kernel import BatchKernel, DEFAULT_WINDOW
+from repro.core.batch_kernel import BatchKernel, DEFAULT_WINDOW, RNG_CHUNK
 from repro.core.separation_chain import SeparationChain
+from repro.experiments.parallel import BatchRunner, CellTask
+from repro.obs.convergence import STOP_CONVERGED, StopCondition
 from repro.system.initializers import random_blob_system
 from repro.system.observables import (
     edge_count_scratch,
     heterogeneous_edge_count_scratch,
     largest_cluster_fraction,
 )
+from repro.util.serialization import configuration_to_json
 
 N = 48
 SEED_BASE = 7100
+
+#: Steps of the exactness runs: past three proposal-stream refills.
+LONG_STEPS = 30_000
+assert LONG_STEPS > 3 * RNG_CHUNK
 
 
 def _make_system():
@@ -100,38 +115,115 @@ def _ks_distance(a, b):
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
+def _state(kernel):
+    """Everything a trajectory determines: counters and arenas."""
+    return (
+        kernel.iters.tolist(),
+        kernel.edge.tolist(),
+        kernel.het.tolist(),
+        kernel.acc_moves.tolist(),
+        kernel.acc_swaps.tolist(),
+        [
+            list(kernel.export_system(r).colors.items())
+            for r in range(kernel.R)
+        ],
+    )
+
+
 class TestExactness:
     """Bit-level properties of the speculative-window implementation."""
 
     def test_window_one_matches_default_window(self):
-        """The wide speculative window is a pure optimization.
+        """The speculative window is a pure optimization.
 
         ``window=1`` evaluates a single proposal per vectorized pass —
         the sequential reference — so identical seeds must give identical
-        trajectories regardless of window width.
+        trajectories whatever the window cap, across several stream
+        refills, at high (γ=1) and low (γ=4) acceptance, with and
+        without swaps.
         """
         seeds = list(range(SEED_BASE, SEED_BASE + 4))
-        base = _make_system()
-        k1 = BatchKernel(base, 4.0, 4.0, replicas=4, seed=seeds, window=1)
-        kw = BatchKernel(_make_system(), 4.0, 4.0, replicas=4, seed=seeds,
-                         window=DEFAULT_WINDOW)
-        k1.run(4000)
-        kw.run(4000)
-        assert np.array_equal(k1.edge, kw.edge)
-        assert np.array_equal(k1.het, kw.het)
-        assert np.array_equal(k1.acc_moves, kw.acc_moves)
-        assert np.array_equal(k1.acc_swaps, kw.acc_swaps)
-        for r in range(4):
-            assert sorted(k1.positions(r)) == sorted(kw.positions(r))
+        for gamma in (1.0, 4.0):
+            for swaps in (True, False):
+                states = []
+                for window in (1, 8, DEFAULT_WINDOW):
+                    kernel = BatchKernel(
+                        _make_system(), 4.0, gamma, replicas=4, seed=seeds,
+                        swaps=swaps, window=window,
+                    )
+                    kernel.run(LONG_STEPS)
+                    states.append(_state(kernel))
+                label = f"gamma={gamma} swaps={swaps}"
+                assert states[1] == states[0], f"window 8 differs ({label})"
+                assert states[2] == states[0], (
+                    f"window {DEFAULT_WINDOW} differs ({label})"
+                )
+
+    @pytest.mark.parametrize("chunk", [750, 333])
+    @pytest.mark.parametrize("gamma", [1.0, 4.0])
+    def test_chunking_invariance(self, gamma, chunk):
+        """``run(30000)`` equals consecutive ``run(chunk)`` calls.
+
+        750 splits the run into 40 equal calls; 333 leaves a short
+        final call, and its boundaries fall mid-round far more often.
+        """
+        seeds = list(range(SEED_BASE, SEED_BASE + 4))
+        whole = BatchKernel(_make_system(), 4.0, gamma, replicas=4, seed=seeds)
+        whole.run(LONG_STEPS)
+        chunked = BatchKernel(
+            _make_system(), 4.0, gamma, replicas=4, seed=seeds
+        )
+        for start in range(0, LONG_STEPS, chunk):
+            chunked.run(min(chunk, LONG_STEPS - start))
+        assert _state(chunked) == _state(whole)
+
+    def test_adaptive_stop_is_fixed_run_prefix(self):
+        """An adaptively stopped group equals a fixed ``run(X)``.
+
+        The group's worker chunks the kernel at verdict boundaries and
+        stops every replica at one iteration ``X``; chunking does not
+        change trajectories, so the arenas and counters it returns are
+        exactly those of one uninterrupted ``run(X)`` on the same seeds.
+        """
+        system = _make_system()
+        system_json = configuration_to_json(system, sort_nodes=False)
+        seeds = list(range(SEED_BASE, SEED_BASE + 4))
+        tasks = [
+            CellTask(
+                lam=4.0, gamma=1.0, replica=r, seed=seed, steps=200_000,
+                system_json=system_json, kernel="batch",
+            )
+            for r, seed in enumerate(seeds)
+        ]
+        stop = StopCondition(
+            ess_target=5.0, geweke_max=50.0, min_iterations=2 * RNG_CHUNK
+        )
+        results = BatchRunner(backend="serial", adaptive=stop).run(tasks)
+        stopped_at = {result.iterations for result in results}
+        assert len(stopped_at) == 1
+        (x,) = stopped_at
+        assert all(r.stop_reason == STOP_CONVERGED for r in results)
+        assert 2 * RNG_CHUNK <= x < 200_000
+        fixed = BatchKernel(_make_system(), 4.0, 1.0, replicas=4, seed=seeds)
+        fixed.run(x)
+        for r, result in enumerate(results):
+            assert result.accepted_moves == int(fixed.acc_moves[r])
+            assert result.accepted_swaps == int(fixed.acc_swaps[r])
+            assert list(result.system.colors.items()) == list(
+                fixed.export_system(r).colors.items()
+            )
+            assert result.system.edge_total == int(fixed.edge[r])
+            assert result.system.hetero_total == int(fixed.het[r])
 
     def test_grouping_invariance(self):
         """R-replica kernel == R single-replica kernels (same seed list)."""
         seeds = list(range(SEED_BASE, SEED_BASE + 6))
+        steps = 2 * RNG_CHUNK + 3000  # past the second stream refill
         grouped = BatchKernel(_make_system(), 4.0, 2.0, replicas=6, seed=seeds)
-        grouped.run(3000)
+        grouped.run(steps)
         for r, seed in enumerate(seeds):
             solo = BatchKernel(_make_system(), 4.0, 2.0, replicas=1, seed=[seed])
-            solo.run(3000)
+            solo.run(steps)
             assert int(solo.edge[0]) == int(grouped.edge[r])
             assert int(solo.het[0]) == int(grouped.het[r])
             assert sorted(solo.positions(0)) == sorted(grouped.positions(r))

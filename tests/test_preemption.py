@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.batch_kernel import BatchKernel
+from repro.core.batch_kernel import RNG_CHUNK, BatchKernel
 from repro.core.separation_chain import SeparationChain
 from repro.experiments import parallel as parallel_mod
 from repro.experiments import resilience as resilience_mod
@@ -95,6 +95,22 @@ RETRY = dict(
     retry=RetryPolicy(max_retries=2, backoff_base=0.0),
     failure=FailurePolicy(mode="retry"),
 )
+
+
+def legacy_stream_layout(state):
+    """Rewrite a batch-kernel frame into the older one-block layout.
+
+    Before refills carried the stream tail over, each replica's
+    proposal streams were ``(R, RNG_CHUNK)`` columns with no ``fill``
+    level (the unconsumed tail was discarded on refill).
+    """
+    legacy = dict(state)
+    columns = dict(state["columns"])
+    for name in ("idxg", "d", "q"):
+        columns[name] = columns[name][:, :RNG_CHUNK]
+    del columns["fill"]
+    legacy["columns"] = columns
+    return legacy
 
 
 def sigkill_fault(after=2, ledger=None):
@@ -277,24 +293,63 @@ class TestBatchKernelStateRoundTrip:
         return [kernel.export_system(r) for r in range(kernel.R)]
 
     def test_restore_replays_bit_identical(self):
+        import numpy as np
+
+        # One snapshot inside the first proposal-stream block, one
+        # after a refill (its buffers hold a carried-over tail plus a
+        # fresh block); both replays cross further refills.
         reference = self.build()
         reference.run(1000)
         # export_state hands out live array views; the codec frame
         # freezes them — the same handoff the worker snapshot does.
+        early = codec.encode_state(reference.export_state())
+        reference.run(RNG_CHUNK + 500)
+        late = codec.encode_state(reference.export_state())
+        reference.run(RNG_CHUNK + 1500)
+
+        for frame, at in ((early, 1000), (late, RNG_CHUNK + 1500)):
+            restored = self.build()
+            restored.restore_state(codec.decode_state(frame))
+            assert list(restored.iters) == [at] * 3
+            restored.run(int(reference.iters[0]) - at)
+            assert np.array_equal(restored.iters, reference.iters)
+            assert np.array_equal(restored.acc_moves, reference.acc_moves)
+            assert np.array_equal(restored.acc_swaps, reference.acc_swaps)
+            for left, right in zip(
+                self.configurations(restored), self.configurations(reference)
+            ):
+                assert list(left.colors.items()) == list(right.colors.items())
+
+    def test_restore_ignores_window_cap(self):
+        """Streams do not depend on the window cap, so neither do frames."""
+        reference = self.build()
+        reference.run(RNG_CHUNK + 500)
         frame = codec.encode_state(reference.export_state())
-        reference.run(1500)
-
-        restored = self.build()
-        restored.restore_state(codec.decode_state(frame))
-        assert list(restored.iters) == [1000, 1000, 1000]
-        restored.run(1500)
-        import numpy as np
-
-        assert np.array_equal(restored.iters, reference.iters)
-        assert np.array_equal(restored.acc_moves, reference.acc_moves)
-        assert np.array_equal(restored.acc_swaps, reference.acc_swaps)
+        reference.run(2000)
+        narrow = BatchKernel(
+            fresh_system(n=16, seed=3), lam=4.0, gamma=2.0,
+            replicas=3, seed=[11, 12, 13], swaps=True, window=1,
+        )
+        narrow.restore_state(codec.decode_state(frame))
+        narrow.run(2000)
         for left, right in zip(
-            self.configurations(restored), self.configurations(reference)
+            self.configurations(narrow), self.configurations(reference)
+        ):
+            assert list(left.colors.items()) == list(right.colors.items())
+
+    def test_pre_tail_carry_frame_rejected(self):
+        """A one-block frame (no fill level) raises; the kernel stays usable."""
+        kernel = self.build()
+        kernel.run(1000)
+        state = codec.decode_state(
+            codec.encode_state(legacy_stream_layout(kernel.export_state()))
+        )
+        fresh = self.build()
+        with pytest.raises(ValueError):
+            fresh.restore_state(state)
+        fresh.run(1000)
+        for left, right in zip(
+            self.configurations(fresh), self.configurations(kernel)
         ):
             assert list(left.colors.items()) == list(right.colors.items())
 
@@ -371,6 +426,32 @@ class TestWarmRestore:
         ).run(tasks)
         assert any(r.restored_from is not None for r in restored)
         for left, right in zip(restored, reference):
+            assert result_signature(left) == result_signature(right)
+
+    def test_batch_pre_tail_carry_frame_cold_starts(self, tmp_path):
+        """A drained group's frame rewritten to the older layout is ignored."""
+        tasks = make_tasks(count=3, kernel="batch", steps=3000, seed0=140)
+        reference = BatchRunner(
+            backend="serial", checkpoint_dir=tmp_path / "ref",
+            state_every=500,
+        ).run(tasks)
+        directory = tmp_path / "int"
+        with pytest.raises(DrainInterrupt):
+            BatchRunner(
+                backend="serial", checkpoint_dir=directory, state_every=500,
+                fault_spec={"mode": "preempt", "match": "*", "times": 1,
+                            "after_snapshots": 3},
+            ).run(tasks)
+        (state_file,) = directory.glob("*.state.bin")
+        state = codec.decode_state(state_file.read_bytes())
+        state_file.write_bytes(codec.encode_state(legacy_stream_layout(state)))
+        with pytest.warns(RuntimeWarning, match="unusable state snapshot"):
+            resumed = BatchRunner(
+                backend="serial", checkpoint_dir=directory, state_every=500,
+                resume=True,
+            ).run(tasks)
+        assert all(r.restored_from is None for r in resumed)
+        for left, right in zip(resumed, reference):
             assert result_signature(left) == result_signature(right)
 
     def test_process_backend_survives_real_sigkill(self, tmp_path):

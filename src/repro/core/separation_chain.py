@@ -1468,11 +1468,12 @@ class SeparationChain:
 
         The hook never consumes randomness: trajectories, counters, and
         the final RNG state are bit-identical between two runs with the
-        *same* cadence (one interrupted and restored, one not).  A run
-        with a different ``every`` — or none — may produce a different
-        final dict *insertion order* (the emission syncs the grid
-        kernel's write-back early), though never different occupancy,
-        counters, or RNG state.
+        *same* cadence (one interrupted and restored, one not).  The
+        cadence does not change the final dict *insertion order*
+        either: an emission writes the grid kernel's arena back early,
+        but the write-back sorts by (last move, prior rank), so
+        successive syncs compose into the order of last moves — a run
+        with any ``every``, or none, ends in the same ordered dict.
 
         Snapshots are supported on the scalar kernels with a stdlib
         ``random.Random`` stream only; the batch backend snapshots at

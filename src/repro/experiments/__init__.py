@@ -13,7 +13,6 @@
 """
 
 from repro.experiments.parallel import (
-    BatchRunner,
     CellResult,
     CellTask,
     dispatch_cells,
@@ -44,7 +43,6 @@ from repro.experiments.scaling import (
 )
 
 __all__ = [
-    "BatchRunner",
     "CellResult",
     "CellTask",
     "dispatch_cells",

@@ -19,21 +19,28 @@ this module factors the execution out of the individual harnesses:
   blobs (:mod:`repro.util.codec`, the default) or as plain JSON
   strings (see :mod:`repro.util.serialization`) rather than live
   objects.
-* :func:`execute_cells` — fan tasks out over a ``serial`` or ``process``
-  backend, optionally writing one checkpoint file per completed cell
-  (``cell-<key>.bin`` columnar or ``cell-<key>.json`` legacy text, the
-  ``codec`` knob; resume reads either) and, with ``resume=True``,
-  skipping cells whose checkpoints are already on disk — a killed
-  sweep re-run with ``--resume`` completes only the missing cells.
+* :func:`execute_cells` — the one engine runner: fan tasks out over a
+  ``serial`` or ``process`` backend, optionally writing one checkpoint
+  file per completed cell (``cell-<key>.bin`` columnar or
+  ``cell-<key>.json`` legacy text, the ``codec`` knob; resume reads
+  either) and, with ``resume=True``, skipping cells whose checkpoints
+  are already on disk — a killed sweep re-run with ``--resume``
+  completes only the missing cells.  Only its work-unit builder looks
+  at the kernel: scalar-kernel cells become :func:`run_cell` units
+  (the cheap tail packed into :func:`run_cell_chunk` units),
+  ``kernel="batch"`` cells become :func:`run_batch_group` units that
+  advance a whole cell's replicas lock-step in one
+  :class:`~repro.core.batch_kernel.BatchKernel`.
+* :func:`dispatch_cells` — the harness front door: :func:`execute_cells`
+  plus the optional warm-start ladder.
 
 The engine itself is tuned for paper-scale sweeps: worker processes
 pre-decode shared base systems once (pool initializer + per-worker
 cache), task identity digests are memoized, and a ``steps × n`` cost
 model (:mod:`repro.experiments.costmodel`, refined online) dispatches
-cells longest-expected-first from a bounded in-flight window, packing
-the cheap tail into chunks (``run_cell_chunk``).  None of this touches
-trajectories — scheduling order, chunking, and codec are all outside
-task identity.
+units longest-expected-first from a bounded in-flight window.  None of
+this touches trajectories — scheduling order, unit grouping, and codec
+are all outside task identity.
 
 Because each task carries its own deterministically derived seed (see
 :func:`repro.util.rng.derive_seed`), the two backends produce identical
@@ -154,18 +161,12 @@ DEFAULT_CODEC = "binary"
 #: Checkpoint filename suffix per codec.
 _CODEC_SUFFIX = {"binary": ".bin", "json": ".json"}
 
-#: Scheduling policies: ``"cost"`` orders work longest-expected-first
-#: via :class:`repro.experiments.costmodel.CostModel` (refined online)
-#: and chunks cheap cells; ``"fifo"`` preserves task order.
-SCHEDULES = ("cost", "fifo")
-
 #: Pool oversubscription factor used when sizing adaptive chunks: aim
 #: for at least this many work units per worker so the online cost
 #: model keeps enough scheduling freedom to absorb bad estimates.
 _CHUNK_OVERSUBSCRIPTION = 4
 
-#: Hard cap on adaptive chunk size (``chunk=0``); explicit ``chunk=k``
-#: overrides it.
+#: Hard cap on the number of cells packed into one chunk.
 _CHUNK_CAP = 16
 
 #: Warm-start strategies understood by :func:`dispatch_cells`:
@@ -634,23 +635,20 @@ def _plan_chunks(
     pending: Sequence[int],
     model: CostModel,
     workers: int,
-    chunk: int,
 ) -> List[List[int]]:
     """Group pending task indices into scheduling units, longest first.
 
     Cells whose a-priori cost clears the chunking threshold stay
     singletons; the cheap tail is packed greedily into chunks bounded
     by both a unit budget (the sweep's total divided across
-    ``workers × oversubscription`` slots) and a size cap.  ``chunk=1``
-    disables packing, ``chunk>=2`` overrides the cap, ``chunk=0`` is
-    adaptive.  The grouping is a pure function of task costs — no
-    clocks, no randomness — so reruns plan identically.
+    ``workers × oversubscription`` slots) and :data:`_CHUNK_CAP`.  The
+    grouping is a pure function of task costs — no clocks, no
+    randomness — so reruns plan identically.
     """
     units = {index: model.units(task_list[index]) for index in pending}
     order = sorted(pending, key=lambda index: (-units[index], index))
-    if chunk == 1 or len(pending) <= 1:
+    if len(pending) <= 1:
         return [[index] for index in order]
-    cap = chunk if chunk >= 2 else _CHUNK_CAP
     target = sum(units.values()) / max(
         1.0, float(workers * _CHUNK_OVERSUBSCRIPTION)
     )
@@ -664,7 +662,7 @@ def _plan_chunks(
             continue
         current.append(index)
         current_units += units[index]
-        if len(current) >= cap or current_units >= target:
+        if len(current) >= _CHUNK_CAP or current_units >= target:
             groups.append(current)
             current, current_units = [], 0.0
     if current:
@@ -1208,10 +1206,6 @@ def group_batch_tasks(
     roots its own RNG stream from its own task seed, the grouping
     *never* affects trajectories — only scheduling.
     """
-    if replicas_per_task < 0:
-        raise ValueError(
-            f"replicas_per_task must be >= 0, got {replicas_per_task}"
-        )
     groups: List[List[int]] = []
     last_sig = None
     for index in indices:
@@ -1734,25 +1728,39 @@ def execute_cells(
     resume: bool = False,
     progress: Optional[ProgressCallback] = None,
     obs: Optional[Instrumentation] = None,
+    replicas_per_task: int = 0,
     retry: Optional[RetryPolicy] = None,
     failure: Optional[FailurePolicy] = None,
     fault_spec: Optional[Any] = None,
     codec: str = DEFAULT_CODEC,
-    schedule: str = "cost",
-    chunk: int = 0,
     adaptive: Optional[StopCondition] = None,
     state_every: int = 0,
     drain_timeout: float = 30.0,
 ) -> List[CellResult]:
     """Run every task and return results in task order.
 
+    Tasks are either all scalar-kernel (``"auto"``/``"grid"``/
+    ``"dict"``) or all ``kernel="batch"``; a mix raises ``ValueError``.
+    The kernel decides only the shape of the work units: scalar cells
+    run one per :func:`run_cell` unit (the cheap tail packed into
+    :func:`run_cell_chunk` units on the process backend), batch cells
+    run as whole-cell groups of :func:`run_batch_group` that advance
+    their replicas lock-step inside one
+    :class:`~repro.core.batch_kernel.BatchKernel`.  Checkpointing,
+    resume, retries, quarantine, drain, progress, and observability are
+    the same for both, and per-cell checkpoint files are
+    interchangeable between them.  Units are dispatched
+    longest-expected-first by an online-refined ``steps × n`` cost
+    model (metrics under ``engine.cost_model.*``); scheduling never
+    affects results, only wall time.
+
     Parameters
     ----------
     backend:
         ``"serial"`` runs in-process; ``"process"`` fans out over a
-        ``ProcessPoolExecutor``.  Both route each cell through
-        :func:`run_cell`, so their results are identical for identical
-        tasks.
+        ``ProcessPoolExecutor``.  Both route cells through the same
+        worker entrypoints, so their results are identical for
+        identical tasks.
     workers:
         Pool size for the process backend (default: one per CPU core).
         Ignored by the serial backend.
@@ -1777,9 +1785,15 @@ def execute_cells(
         trace spans, and (with ``obs.profile``) a cProfile report; the
         parent merges worker streams, counts checkpoint hits/misses/
         recomputes, and records per-cell wall-time and throughput
-        under the ``engine.*`` metric names.  Instrumentation rides
-        outside the task identity: checkpoints and trajectories are
-        unchanged.
+        under the ``engine.*`` metric names.  Batch workers add
+        per-group ``batch.*`` metrics and a ``batch_cell`` span.
+        Instrumentation rides outside the task identity: checkpoints
+        and trajectories are unchanged.
+    replicas_per_task:
+        Batch kernel only: cap on the replicas one batch group advances
+        (``0``, the default, runs each cell's replicas in one kernel).
+        Smaller groups trade kernel efficiency for pool granularity;
+        grouping never affects trajectories.  Must be ``>= 0``.
     retry:
         Optional :class:`~repro.experiments.resilience.RetryPolicy`
         (attempt budget, backoff, per-task timeout).  The default
@@ -1789,7 +1803,11 @@ def execute_cells(
         The default (``"raise"``) aborts on the first failure — the
         historical behavior; ``"quarantine"`` completes with
         :class:`~repro.experiments.resilience.FailedCell` placeholders
-        and a ``failures.json`` manifest instead.
+        and a ``failures.json`` manifest instead.  Policies apply per
+        work unit: a failed chunk or batch group is retried or
+        quarantined as a whole (a worker returning fewer payloads than
+        the unit has members is a
+        :class:`~repro.experiments.resilience.ResultValidationError`).
     fault_spec:
         Optional fault-injection spec attached to worker payloads (see
         :mod:`repro.experiments.resilience`); for chaos testing only.
@@ -1800,34 +1818,26 @@ def execute_cells(
         see :mod:`repro.util.codec`) or ``"json"`` (the legacy text
         path).  Resume reads either format regardless of the setting,
         and trajectories are bit-identical across codecs.
-    schedule:
-        ``"cost"`` (default) dispatches work longest-expected-first
-        using an online-refined ``steps × n`` cost model (metrics
-        under ``engine.cost_model.*``); ``"fifo"`` keeps task order.
-        Scheduling never affects results, only wall time.
-    chunk:
-        Cheap-cell chunking under the cost scheduler on the process
-        backend: ``0`` packs adaptively, ``1`` disables, ``k >= 2``
-        caps chunks at ``k`` cells.  Retry/timeout/quarantine apply to
-        a chunk as a unit, like a batch group.
     adaptive:
         Optional :class:`~repro.obs.StopCondition`.  Workers then stop
         each cell early once its streaming diagnostics satisfy the
         condition (``task.steps`` remains the hard budget) and record
         stop metadata — reason, ESS at stop, budget — in results and
-        checkpoint headers.  ``None`` (the default) keeps fixed-budget
-        execution bit-identical to historical runs.  The cost model
-        observes *actual* executed iterations, so its online rates stay
+        checkpoint headers; a batch group's replicas vote and stop
+        together.  ``None`` (the default) keeps fixed-budget execution
+        bit-identical to historical runs.  The cost model observes
+        *actual* executed iterations, so its online rates stay
         calibrated when cells stop early.
     state_every:
         Mid-run durability cadence in chain iterations: ``> 0`` makes
         workers persist a crash-consistent ``cell-<key>.state.bin``
         snapshot (configuration, counters, RNG state, diagnostics
         state) at least every ``state_every`` iterations, atomically,
-        beside the checkpoints.  A retried or ``--resume``\\ d cell
-        warm-restores from its snapshot and replays only the missing
-        tail — bit-identical to an uninterrupted run at the same
-        cadence, with recompute bounded by the snapshot interval.
+        beside the checkpoints — one per scalar cell, one per batch
+        group keyed by its first member.  A retried or ``--resume``\\ d
+        cell warm-restores from its snapshot and replays only the
+        missing tail — bit-identical to an uninterrupted run at the
+        same cadence, with recompute bounded by the snapshot interval.
         ``0`` (the default) disables snapshots.  Requires
         ``checkpoint_dir``.
     drain_timeout:
@@ -1848,12 +1858,10 @@ def execute_cells(
         raise ValueError(
             f"unknown codec {codec!r}; expected one of {CODECS}"
         )
-    if schedule not in SCHEDULES:
+    if replicas_per_task < 0:
         raise ValueError(
-            f"unknown schedule {schedule!r}; expected one of {SCHEDULES}"
+            f"replicas_per_task must be >= 0, got {replicas_per_task}"
         )
-    if chunk < 0:
-        raise ValueError(f"chunk must be >= 0, got {chunk}")
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires a checkpoint_dir")
     if state_every < 0:
@@ -1874,6 +1882,19 @@ def execute_cells(
     task_list = list(tasks)
     for task in task_list:
         task.validate()
+    kinds = {task.kernel == "batch" for task in task_list}
+    if len(kinds) > 1:
+        raise ValueError(
+            "cannot mix kernel='batch' tasks with scalar-kernel tasks "
+            "in one dispatch"
+        )
+    batch = kinds == {True}
+    # Batch runs tag their start event and engine span.
+    batch_tags: Dict[str, Any] = (
+        {"mode": "batch", "replicas_per_task": replicas_per_task}
+        if batch
+        else {}
+    )
 
     directory: Optional[Path] = None
     if checkpoint_dir is not None:
@@ -1895,6 +1916,7 @@ def execute_cells(
             resume=resume,
             on_failure=failure.mode,
             max_retries=retry.max_retries,
+            **batch_tags,
         )
 
     results: List[Optional[CellResult]] = [None] * total
@@ -1924,72 +1946,70 @@ def execute_cells(
     instrument = obs.worker_flags() if obs is not None else None
     adaptive_request = adaptive_flags(adaptive, obs)
     effective_workers = workers if workers is not None else default_workers()
-
-    model: Optional[CostModel] = None
-    if schedule == "cost":
-        model = CostModel(metrics=obs.metrics if obs else None)
-        groups = _plan_chunks(
-            task_list,
-            pending,
-            model,
-            effective_workers,
-            # Chunking only pays on the process backend (it amortizes
-            # IPC); serial dispatch has nothing to amortize.
-            chunk if backend == "process" else 1,
-        )
+    model = CostModel(metrics=obs.metrics if obs else None)
+    if batch:
+        groups = group_batch_tasks(task_list, pending, replicas_per_task)
+    elif backend == "process":
+        groups = _plan_chunks(task_list, pending, model, effective_workers)
     else:
+        # Chunking amortizes IPC; serial dispatch has nothing to amortize.
         groups = [[index] for index in pending]
 
-    units = []
+    def worker_payload(payload: Dict[str, Any], key: str) -> Dict[str, Any]:
+        if fault_spec is not None:
+            payload["fault"] = fault_spec
+        if directory is not None and state_every > 0:
+            payload["state_path"] = str(_state_file(directory, key))
+            payload["state_every"] = state_every
+        return payload
+
+    units: List[WorkUnit] = []
     for uid, group in enumerate(groups):
-        payloads = []
-        for index in group:
-            payload = task_payload(
-                task_list[index],
-                instrument,
-                codec=codec,
-                adaptive=adaptive_request,
+        members = [task_list[index] for index in group]
+        head = members[0].key()
+        if batch:
+            # One snapshot per group: the kernel's replicas advance
+            # lock-step, so their state serializes as one frame.
+            fn: Callable[[Dict[str, Any]], Any] = run_batch_group
+            payload = worker_payload(
+                batch_group_payload(
+                    members, instrument, codec=codec, adaptive=adaptive_request
+                ),
+                head,
             )
-            if fault_spec is not None:
-                payload["fault"] = fault_spec
-            if directory is not None and state_every > 0:
-                payload["state_path"] = str(
-                    _state_file(directory, task_list[index].key())
+        else:
+            cells = [
+                worker_payload(
+                    task_payload(
+                        task, instrument, codec=codec, adaptive=adaptive_request
+                    ),
+                    task.key(),
                 )
-                payload["state_every"] = state_every
-            payloads.append(payload)
+                for task in members
+            ]
+            fn, payload = (
+                (run_cell, cells[0])
+                if len(cells) == 1
+                else (run_cell_chunk, {"cells": cells})
+            )
         heartbeat = (
-            str(_heartbeat_file(directory, task_list[group[0]].key()))
+            str(_heartbeat_file(directory, head))
             if directory is not None and backend == "process"
             else None
         )
-        if len(group) == 1:
-            if heartbeat is not None:
-                payloads[0]["heartbeat"] = heartbeat
-            units.append(
-                WorkUnit(
-                    uid=uid,
-                    fn=run_cell,
-                    payload=payloads[0],
-                    tasks=[task_list[group[0]]],
-                    heartbeat=heartbeat,
-                )
+        if heartbeat is not None:
+            payload["heartbeat"] = heartbeat
+        units.append(
+            WorkUnit(
+                uid=uid,
+                fn=fn,
+                payload=payload,
+                tasks=members,
+                heartbeat=heartbeat,
             )
-        else:
-            chunk_payload: Dict[str, Any] = {"cells": payloads}
-            if heartbeat is not None:
-                chunk_payload["heartbeat"] = heartbeat
-            units.append(
-                WorkUnit(
-                    uid=uid,
-                    fn=run_cell_chunk,
-                    payload=chunk_payload,
-                    tasks=[task_list[index] for index in group],
-                    heartbeat=heartbeat,
-                )
-            )
+        )
 
-    if obs is not None and model is not None and units:
+    if obs is not None and units and not batch:
         chunked = sum(1 for group in groups if len(group) > 1)
         if obs.metrics is not None:
             obs.metrics.gauge("engine.cost_model.units").set(len(units))
@@ -1999,31 +2019,27 @@ def execute_cells(
             cells=len(pending),
             units=len(units),
             chunked_units=chunked,
-            schedule=schedule,
         )
 
-    order_key = None
-    if model is not None:
-        def order_key(unit: WorkUnit) -> float:
-            return sum(model.predict_seconds(task) for task in unit.tasks)
+    def order_key(unit: WorkUnit) -> float:
+        return sum(model.predict_seconds(task) for task in unit.tasks)
 
     def decode(unit: WorkUnit, raw: Any) -> List[Tuple[Dict, CellResult]]:
-        group = groups[unit.uid]
-        if len(group) == 1:
+        if unit.fn is run_cell:
             return [(raw, _validated_result(unit.tasks[0], raw))]
         if not isinstance(raw, list):
             raise ResultValidationError(
-                f"chunk {unit.key} worker returned "
+                f"unit {unit.key} worker returned "
                 f"{type(raw).__name__}, expected a payload list"
             )
-        if len(raw) != len(group):
+        if len(raw) != len(unit.tasks):
             raise ResultValidationError(
-                f"chunk {unit.key} returned {len(raw)} payloads "
-                f"for {len(group)} cells"
+                f"unit {unit.key} returned {len(raw)} payloads "
+                f"for {len(unit.tasks)} cells"
             )
         return [
-            (payload, _validated_result(task_list[index], payload))
-            for index, payload in zip(group, raw)
+            (payload, _validated_result(task, payload))
+            for task, payload in zip(unit.tasks, raw)
         ]
 
     def commit(
@@ -2043,13 +2059,9 @@ def execute_cells(
                     checkpoint_path(directory, task, codec),
                     codec,
                 )
-            if model is not None:
-                # Adaptive cells stop short of their budget; train the
-                # EWMA on the units actually executed, not budgeted.
-                model.observe(
-                    task, result.wall_time, iterations=result.iterations
-                )
-            _cleanup_unit_state(directory, task.key())
+            # Adaptive cells stop short of their budget; train the
+            # EWMA on the units actually executed, not budgeted.
+            model.observe(task, result.wall_time, iterations=result.iterations)
             _note_warm_restore(obs, task, result)
             if obs is not None:
                 _absorb_cell(obs, task, payload, result)
@@ -2057,6 +2069,11 @@ def execute_cells(
             completed += 1
             if progress is not None:
                 progress(completed, total, result)
+        # Every member checkpoint is committed, so the unit's state
+        # snapshots (one per scalar cell, one per batch group keyed by
+        # its first member) are superseded.
+        for task in unit.tasks:
+            _cleanup_unit_state(directory, task.key())
 
     def quarantine(unit: WorkUnit, records: List[TaskFailure]) -> None:
         nonlocal completed
@@ -2114,12 +2131,15 @@ def execute_cells(
         if obs.metrics is not None:
             obs.metrics.gauge("engine.wall_seconds").set(elapsed)
             obs.metrics.gauge("engine.cells_total").set(total)
+            if batch:
+                obs.metrics.gauge("engine.batch_groups").set(len(groups))
         if obs.trace is not None:
             obs.trace.complete(
                 "execute_cells",
                 engine_span_start,
                 cells=total,
                 backend=backend,
+                **batch_tags,
             )
         obs.log(
             "engine.done",
@@ -2238,356 +2258,21 @@ def _absorb_cell(
             sys.stderr.write(result.profile)
 
 
-@dataclass
-class BatchRunner:
-    """Schedule whole cells (R replicas each) onto batch kernels.
-
-    The scalar engine (:func:`execute_cells`) fans out one process task
-    per *replica*; this runner fans out one task per *cell group*, each
-    advancing up to ``replicas_per_task`` replicas lock-step inside one
-    :class:`~repro.core.batch_kernel.BatchKernel` (0 = no cap: one
-    kernel per cell).  Everything else — per-replica checkpoint files,
-    resume semantics, result ordering, progress callbacks, and the
-    ``engine.*`` observability stream — matches the scalar engine, so
-    harnesses can swap runners without changing aggregation.  Batch
-    workers additionally report per-batch ``batch.*`` metrics and a
-    ``batch_cell`` trace span per group.
-    """
-
-    backend: str = "serial"
-    workers: Optional[int] = None
-    replicas_per_task: int = 0
-    checkpoint_dir: Optional[os.PathLike] = None
-    resume: bool = False
-    progress: Optional[ProgressCallback] = None
-    obs: Optional[Instrumentation] = None
-    retry: Optional[RetryPolicy] = None
-    failure: Optional[FailurePolicy] = None
-    fault_spec: Optional[Any] = None
-    codec: str = DEFAULT_CODEC
-    schedule: str = "cost"
-    adaptive: Optional[StopCondition] = None
-    state_every: int = 0
-    drain_timeout: float = 30.0
-
-    def run(self, tasks: Iterable[CellTask]) -> List[CellResult]:
-        """Execute every task and return results in task order.
-
-        The retry/failure policies apply at *group* granularity: a
-        worker exception, timeout, or malformed return (including the
-        historical silent-truncation bug — a worker returning fewer
-        payloads than the group has members, now a hard
-        :class:`~repro.experiments.resilience.ResultValidationError`)
-        fails the whole group, which is then recomputed or quarantined
-        as a unit.
-        """
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; "
-                f"expected one of {BACKENDS}"
-            )
-        if self.codec not in CODECS:
-            raise ValueError(
-                f"unknown codec {self.codec!r}; expected one of {CODECS}"
-            )
-        if self.schedule not in SCHEDULES:
-            raise ValueError(
-                f"unknown schedule {self.schedule!r}; "
-                f"expected one of {SCHEDULES}"
-            )
-        if self.resume and self.checkpoint_dir is None:
-            raise ValueError("resume=True requires a checkpoint_dir")
-        if self.state_every < 0:
-            raise ValueError(
-                f"state_every must be >= 0, got {self.state_every}"
-            )
-        if self.state_every > 0 and self.checkpoint_dir is None:
-            raise ValueError("state_every > 0 requires a checkpoint_dir")
-        if self.drain_timeout <= 0:
-            raise ValueError(
-                f"drain_timeout must be positive, got {self.drain_timeout}"
-            )
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be positive, got {self.workers}")
-        obs = self.obs
-        if obs is not None and not obs.enabled():
-            obs = None
-        retry = self.retry if self.retry is not None else RetryPolicy()
-        failure = self.failure if self.failure is not None else FailurePolicy()
-
-        task_list = list(tasks)
-        for task in task_list:
-            task.validate()
-
-        directory: Optional[Path] = None
-        if self.checkpoint_dir is not None:
-            directory = Path(self.checkpoint_dir)
-            directory.mkdir(parents=True, exist_ok=True)
-            sweep_stale_temp_files(directory)
-
-        total = len(task_list)
-        engine_started = time.perf_counter()
-        engine_span_start = 0.0
-        if obs is not None:
-            if obs.trace is not None:
-                engine_span_start = obs.trace.now()
-            obs.log(
-                "engine.start",
-                cells=total,
-                backend=self.backend,
-                workers=self.workers,
-                resume=self.resume,
-                mode="batch",
-                replicas_per_task=self.replicas_per_task,
-                on_failure=failure.mode,
-                max_retries=retry.max_retries,
-            )
-
-        results: List[Optional[CellResult]] = [None] * total
-        completed = 0
-        pending: List[int] = []
-        for index, task in enumerate(task_list):
-            restored = (
-                _load_checkpoint(
-                    directory,
-                    task,
-                    metrics=obs.metrics if obs else None,
-                    codec=self.codec,
-                )
-                if self.resume
-                else None
-            )
-            if restored is not None:
-                results[index] = restored
-                completed += 1
-                if obs is not None:
-                    _absorb_cell(obs, task, {"key": task.key()}, restored)
-                if self.progress is not None:
-                    self.progress(completed, total, restored)
-            else:
-                pending.append(index)
-
-        instrument = obs.worker_flags() if obs is not None else None
-        adaptive_request = adaptive_flags(self.adaptive, obs)
-        groups = group_batch_tasks(
-            task_list, pending, self.replicas_per_task
-        )
-
-        model: Optional[CostModel] = None
-        if self.schedule == "cost":
-            model = CostModel(metrics=obs.metrics if obs else None)
-
-        units = []
-        for uid, group in enumerate(groups):
-            payload = batch_group_payload(
-                [task_list[i] for i in group],
-                instrument,
-                codec=self.codec,
-                adaptive=adaptive_request,
-            )
-            if self.fault_spec is not None:
-                payload["fault"] = self.fault_spec
-            group_key = task_list[group[0]].key()
-            if directory is not None and self.state_every > 0:
-                # One snapshot per group: the kernel's replicas advance
-                # lock-step, so their state serializes as one frame.
-                payload["state_path"] = str(_state_file(directory, group_key))
-                payload["state_every"] = self.state_every
-            heartbeat = (
-                str(_heartbeat_file(directory, group_key))
-                if directory is not None and self.backend == "process"
-                else None
-            )
-            if heartbeat is not None:
-                payload["heartbeat"] = heartbeat
-            units.append(
-                WorkUnit(
-                    uid=uid,
-                    fn=run_batch_group,
-                    payload=payload,
-                    tasks=[task_list[i] for i in group],
-                    heartbeat=heartbeat,
-                )
-            )
-
-        order_key = None
-        if model is not None:
-            def order_key(unit: WorkUnit) -> float:
-                return sum(
-                    model.predict_seconds(task) for task in unit.tasks
-                )
-
-        def decode(unit: WorkUnit, raw: Any) -> List[Tuple[Dict, CellResult]]:
-            group = groups[unit.uid]
-            if not isinstance(raw, list):
-                raise ResultValidationError(
-                    f"batch group {unit.key} worker returned "
-                    f"{type(raw).__name__}, expected a payload list"
-                )
-            if len(raw) != len(group):
-                # Previously this mismatch was silently zip-truncated,
-                # leaving None results that only tripped the final
-                # assert; now the whole group is recomputed.
-                raise ResultValidationError(
-                    f"batch group {unit.key} returned {len(raw)} payloads "
-                    f"for {len(group)} members"
-                )
-            return [
-                (payload, _validated_result(task_list[index], payload))
-                for index, payload in zip(group, raw)
-            ]
-
-        def commit(
-            unit: WorkUnit, decoded: List[Tuple[Dict, CellResult]]
-        ) -> None:
-            nonlocal completed
-            for index, (payload, result) in zip(groups[unit.uid], decoded):
-                task = task_list[index]
-                if directory is not None:
-                    disk_payload = {
-                        key: value
-                        for key, value in payload.items()
-                        if key not in _OBS_PAYLOAD_KEYS
-                    }
-                    write_checkpoint_payload(
-                        disk_payload,
-                        checkpoint_path(directory, task, self.codec),
-                        self.codec,
-                    )
-                if model is not None:
-                    model.observe(
-                        task, result.wall_time, iterations=result.iterations
-                    )
-                _note_warm_restore(obs, task, result)
-                if obs is not None:
-                    _absorb_cell(obs, task, payload, result)
-                results[index] = result
-                completed += 1
-                if self.progress is not None:
-                    self.progress(completed, total, result)
-            # The group shares one state snapshot, keyed by its first
-            # member; every member checkpoint is now committed.
-            _cleanup_unit_state(directory, unit.tasks[0].key())
-
-        def quarantine(unit: WorkUnit, records: List[TaskFailure]) -> None:
-            nonlocal completed
-            for index, record in zip(groups[unit.uid], records):
-                placeholder = FailedCell(
-                    task=task_list[index],
-                    error=record.error,
-                    kind=record.kind,
-                    attempts=record.attempts,
-                )
-                results[index] = placeholder
-                completed += 1
-                if self.progress is not None:
-                    self.progress(completed, total, placeholder)
-
-        executor = ResilientExecutor(
-            backend=self.backend,
-            workers=(
-                self.workers if self.workers is not None else default_workers()
-            ),
-            retry=retry,
-            failure=failure,
-            obs=obs,
-            order_key=order_key,
-            initializer=warm_worker if self.codec == "binary" else None,
-            initargs=(
-                (_warm_entries(unit.payload for unit in units),)
-                if self.codec == "binary"
-                else ()
-            ),
-            drain=drain_event(),
-            drain_timeout=self.drain_timeout,
-        )
-        reset_drain()
-        handlers = install_drain_handlers()
-        try:
-            executor.run(units, decode, commit, quarantine)
-        except DrainInterrupt as error:
-            _handle_drain(
-                error,
-                directory,
-                completed,
-                executor.failures,
-                obs,
-                self.drain_timeout,
-            )
-            raise
-        except BaseException:
-            if directory is not None and executor.failures:
-                write_failures_manifest(directory, executor.failures)
-            raise
-        finally:
-            restore_drain_handlers(handlers)
-        _finalize_failures(directory, executor.failures)
-        if directory is not None:
-            clear_drain_manifest(directory)
-
-        if obs is not None:
-            elapsed = time.perf_counter() - engine_started
-            if obs.metrics is not None:
-                obs.metrics.gauge("engine.wall_seconds").set(elapsed)
-                obs.metrics.gauge("engine.cells_total").set(total)
-                obs.metrics.gauge("engine.batch_groups").set(len(groups))
-            if obs.trace is not None:
-                obs.trace.complete(
-                    "execute_cells",
-                    engine_span_start,
-                    cells=total,
-                    backend=self.backend,
-                    mode="batch",
-                )
-            obs.log(
-                "engine.done",
-                cells=total,
-                seconds=elapsed,
-                failed=len(executor.failures),
-            )
-
-        assert all(result is not None for result in results)
-        return results  # type: ignore[return-value]
-
-
 def dispatch_cells(
     tasks: Iterable[CellTask],
-    backend: str = "serial",
-    workers: Optional[int] = None,
-    checkpoint_dir: Optional[os.PathLike] = None,
-    resume: bool = False,
-    progress: Optional[ProgressCallback] = None,
-    obs: Optional[Instrumentation] = None,
-    replicas_per_task: int = 0,
-    retry: Optional[RetryPolicy] = None,
-    failure: Optional[FailurePolicy] = None,
-    fault_spec: Optional[Any] = None,
-    codec: str = DEFAULT_CODEC,
-    schedule: str = "cost",
-    chunk: int = 0,
-    adaptive: Optional[StopCondition] = None,
     warm_start: str = "off",
-    state_every: int = 0,
-    drain_timeout: float = 30.0,
+    **kwargs: Any,
 ) -> List[CellResult]:
-    """Route tasks to the scalar engine or the batch runner by kernel.
+    """Harness-facing front door: :func:`execute_cells` plus warm starts.
 
-    Harness-facing front door: tasks whose ``kernel`` is ``"batch"``
-    run through :class:`BatchRunner` (whole cells per task), everything
-    else through :func:`execute_cells` (one replica per task).  Mixed
-    batches are rejected — a harness emits one kernel per run.
-    ``retry``/``failure``/``fault_spec`` configure the resilience layer
-    on either path (see :mod:`repro.experiments.resilience`);
-    ``codec``/``schedule``/``chunk`` configure the transport codec and
-    cost-model scheduling (see :func:`execute_cells` — none of them
-    affect results, only speed).
+    ``kwargs`` are :func:`execute_cells`'s engine arguments (backend,
+    checkpointing, resilience, codec, ``adaptive``, ``state_every``,
+    …); tasks of either kernel kind go through it unchanged.
 
-    ``adaptive`` requests ESS-targeted early termination (see
-    :func:`execute_cells`).  ``warm_start="ladder"`` additionally
-    replaces the flat longest-first schedule with a dependency DAG:
-    the (λ, γ) grid is planned as anti-diagonal waves
-    (:func:`repro.experiments.costmodel.plan_ladder`) and each cell's
-    initial configuration is swapped for the equilibrated final
+    ``warm_start="ladder"`` replaces the flat longest-first schedule
+    with a dependency DAG: the (λ, γ) grid is planned as anti-diagonal
+    waves (:func:`repro.experiments.costmodel.plan_ladder`) and each
+    cell's initial configuration is swapped for the equilibrated final
     configuration of its nearest already-finished neighbor, per
     replica, cutting burn-in.  Warm-started cells are *statistically*
     — not bit-wise — equivalent to cold ones (different initial
@@ -2601,68 +2286,9 @@ def dispatch_cells(
             f"expected one of {WARM_STARTS}"
         )
     task_list = list(tasks)
-    kwargs = dict(
-        backend=backend,
-        workers=workers,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        progress=progress,
-        obs=obs,
-        replicas_per_task=replicas_per_task,
-        retry=retry,
-        failure=failure,
-        fault_spec=fault_spec,
-        codec=codec,
-        schedule=schedule,
-        chunk=chunk,
-        adaptive=adaptive,
-        state_every=state_every,
-        drain_timeout=drain_timeout,
-    )
     if warm_start == "ladder" and len(task_list) > 1:
         return _dispatch_ladder(task_list, **kwargs)
-    batch_flags = {task.kernel == "batch" for task in task_list}
-    if batch_flags == {True}:
-        return BatchRunner(
-            backend=backend,
-            workers=workers,
-            replicas_per_task=replicas_per_task,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            progress=progress,
-            obs=obs,
-            retry=retry,
-            failure=failure,
-            fault_spec=fault_spec,
-            codec=codec,
-            schedule=schedule,
-            adaptive=adaptive,
-            state_every=state_every,
-            drain_timeout=drain_timeout,
-        ).run(task_list)
-    if True in batch_flags:
-        raise ValueError(
-            "cannot mix kernel='batch' tasks with scalar-kernel tasks "
-            "in one dispatch"
-        )
-    return execute_cells(
-        task_list,
-        backend=backend,
-        workers=workers,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        progress=progress,
-        obs=obs,
-        retry=retry,
-        failure=failure,
-        fault_spec=fault_spec,
-        codec=codec,
-        schedule=schedule,
-        chunk=chunk,
-        adaptive=adaptive,
-        state_every=state_every,
-        drain_timeout=drain_timeout,
-    )
+    return execute_cells(task_list, **kwargs)
 
 
 def _dispatch_ladder(

@@ -6,8 +6,9 @@ whole sweep and lose every in-flight cell.  The amoebot model itself
 assumes progress despite unreliable local activations (Cannon et al.,
 arXiv:1805.04599), so the engine that reproduces it should be at least
 as robust as the system it simulates.  This module supplies the
-resilience layer :mod:`repro.experiments.parallel` threads through both
-the scalar engine and the batch runner:
+resilience layer :mod:`repro.experiments.parallel` threads through
+every work unit of its engine (scalar cells, cell chunks, and batch
+groups):
 
 * :class:`RetryPolicy` — how often and how eagerly a failing cell is
   re-attempted: retry budget, exponential backoff with *deterministic*
@@ -19,8 +20,8 @@ the scalar engine and the batch runner:
   :class:`FailedCell` placeholder plus a ``failures.json`` manifest and
   let the sweep complete with partial results; ``--resume`` then
   recomputes only the quarantined cells).
-* :class:`ResilientExecutor` — the execution loop shared by both
-  engines.  The serial path retries in place (its timeout is a
+* :class:`ResilientExecutor` — the execution loop of the engine's
+  work units.  The serial path retries in place (its timeout is a
   *post-hoc* watchdog: an in-process cell cannot be preempted, but an
   overlong one is still treated as failed and retried).  The process
   path tracks per-future deadlines, rebuilds a broken pool a bounded
@@ -716,12 +717,14 @@ def corrupt_batch_payloads(
 
 @dataclass
 class WorkUnit:
-    """One schedulable unit: a scalar cell or a whole batch group.
+    """One schedulable unit: a scalar cell, a chunk of cheap cells, or a
+    whole batch group.
 
     ``fn`` must be a module-level (picklable) worker; ``payload`` is
     its JSON-able argument.  ``tasks`` are the member
-    :class:`~repro.experiments.parallel.CellTask` objects (one for the
-    scalar engine, R for a batch group) used for failure records.
+    :class:`~repro.experiments.parallel.CellTask` objects (one for a
+    scalar cell, several for a chunk or batch group) used for failure
+    records.
     """
 
     uid: int

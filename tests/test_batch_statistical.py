@@ -21,8 +21,9 @@ replica's stream is a pure function of its seed):
   prefix of a fixed ``run(X)``;
 - grouping invariance: one R-replica kernel seeded with a per-replica
   seed list equals R independent single-replica kernels — the property
-  that makes :class:`~repro.experiments.parallel.BatchRunner`'s task
-  grouping sound;
+  that makes the engine's batch-group work units
+  (:func:`~repro.experiments.parallel.execute_cells` with
+  ``kernel="batch"`` tasks) sound;
 - the incremental edge/heterogeneous-edge counters agree with
   from-scratch recomputation on exported systems.
 
@@ -46,7 +47,7 @@ import pytest
 from repro.analysis.compression_metric import alpha_of
 from repro.core.batch_kernel import BatchKernel, DEFAULT_WINDOW, RNG_CHUNK
 from repro.core.separation_chain import SeparationChain
-from repro.experiments.parallel import BatchRunner, CellTask
+from repro.experiments.parallel import CellTask, execute_cells
 from repro.obs.convergence import STOP_CONVERGED, StopCondition
 from repro.system.initializers import random_blob_system
 from repro.system.observables import (
@@ -198,7 +199,7 @@ class TestExactness:
         stop = StopCondition(
             ess_target=5.0, geweke_max=50.0, min_iterations=2 * RNG_CHUNK
         )
-        results = BatchRunner(backend="serial", adaptive=stop).run(tasks)
+        results = execute_cells(tasks, backend="serial", adaptive=stop)
         stopped_at = {result.iterations for result in results}
         assert len(stopped_at) == 1
         (x,) = stopped_at

@@ -365,8 +365,6 @@ class TestCodecEquivalence:
         task = make_task(steps=50)
         with pytest.raises(ValueError):
             execute_cells([task], codec="msgpack")
-        with pytest.raises(ValueError):
-            execute_cells([task], schedule="random")
 
 
 class TestCorruptBinaryCheckpoints:
@@ -476,73 +474,46 @@ class TestPlanChunks:
 
     def test_homogeneous_small_sweep_stays_singleton(self):
         task_list = self.tasks([500] * 4)
-        groups = _plan_chunks(
-            task_list, range(4), CostModel(), workers=2, chunk=0
-        )
+        groups = _plan_chunks(task_list, range(4), CostModel(), workers=2)
         assert groups == [[0], [1], [2], [3]]
 
     def test_cheap_tail_is_chunked_longest_first(self):
         task_list = self.tasks([100000] + [10] * 40)
-        groups = _plan_chunks(
-            task_list, range(41), CostModel(), workers=2, chunk=0
-        )
+        groups = _plan_chunks(task_list, range(41), CostModel(), workers=2)
         assert groups[0] == [0]  # the expensive cell leads, alone
         assert any(len(group) > 1 for group in groups[1:])
         assert all(len(group) <= 16 for group in groups)
         flat = [index for group in groups for index in group]
         assert sorted(flat) == list(range(41))
 
-    def test_chunk_one_disables_packing(self):
-        task_list = self.tasks([10] * 20)
-        groups = _plan_chunks(
-            task_list, range(20), CostModel(), workers=2, chunk=1
-        )
-        assert all(len(group) == 1 for group in groups)
-
-    def test_explicit_chunk_caps_group_size(self):
-        task_list = self.tasks([10] * 20)
-        groups = _plan_chunks(
-            task_list, range(20), CostModel(), workers=1, chunk=3
-        )
-        assert max(len(group) for group in groups) <= 3
-        assert any(len(group) > 1 for group in groups)
-
     def test_planning_is_deterministic(self):
         task_list = self.tasks([100, 10, 5000, 10, 10])
 
         def plan():
-            return _plan_chunks(
-                task_list, range(5), CostModel(), workers=2, chunk=0
-            )
+            return _plan_chunks(task_list, range(5), CostModel(), workers=2)
 
         assert plan() == plan()
 
 
 class TestScheduling:
-    def test_fifo_and_cost_schedules_bit_identical(self):
-        tasks = [
-            make_task(seed=s, steps=steps, replica=s)
-            for s, steps in enumerate((400, 50, 200))
-        ]
-        cost = execute_cells(tasks, schedule="cost")
-        fifo = execute_cells(tasks, schedule="fifo")
-        for a, b in zip(cost, fifo):
-            assert a.system.colors == b.system.colors
-            assert a.accepted_moves == b.accepted_moves
-
     def test_chunked_process_run_matches_serial(self, tmp_path):
+        # One long cell plus a cheap tail: the adaptive planner keeps
+        # the long cell alone and packs the tail into chunks.
         tasks = [
-            make_task(seed=s, steps=40, replica=s, n=12)
+            make_task(seed=s, steps=20000 if s == 0 else 40, replica=s, n=12)
             for s in range(12)
         ]
         serial = execute_cells(tasks, backend="serial")
+        obs = Instrumentation(metrics=MetricsRegistry())
         chunked = execute_cells(
             tasks,
             backend="process",
             workers=2,
-            chunk=4,
             checkpoint_dir=tmp_path,
+            obs=obs,
         )
+        gauges = obs.metrics.snapshot()["gauges"]
+        assert gauges["engine.cost_model.chunked_units"] > 0
         for a, b in zip(serial, chunked):
             assert a.system.colors == b.system.colors
         # Every cell still checkpoints individually.

@@ -13,6 +13,7 @@ from repro.experiments.parallel import (
     CellResult,
     CellTask,
     checkpoint_path,
+    dispatch_cells,
     execute_cells,
     group_by_cell,
     resolve_backend,
@@ -141,6 +142,38 @@ class TestExecuteCells:
             execute_cells([task], resume=True)  # no checkpoint_dir
         with pytest.raises(ValueError):
             execute_cells([make_task(steps=-2)])
+
+    @pytest.mark.parametrize("runner", [execute_cells, dispatch_cells])
+    def test_mixed_kernels_rejected_before_side_effects(
+        self, runner, tmp_path
+    ):
+        tasks = [
+            make_task(seed=1, steps=50, kernel="grid"),
+            make_task(seed=2, steps=50, kernel="batch"),
+        ]
+        directory = tmp_path / "ckpt"
+        with pytest.raises(ValueError, match="cannot mix"):
+            runner(tasks, checkpoint_dir=directory)
+        assert not directory.exists()
+
+    def test_negative_replicas_per_task_rejected_before_side_effects(
+        self, tmp_path
+    ):
+        tasks = [
+            make_task(seed=s, steps=50, replica=s, kernel="batch")
+            for s in (1, 2)
+        ]
+        directory = tmp_path / "ckpt"
+        seen = []
+        with pytest.raises(ValueError, match="replicas_per_task"):
+            execute_cells(
+                tasks,
+                checkpoint_dir=directory,
+                replicas_per_task=-1,
+                progress=lambda *args: seen.append(args),
+            )
+        assert not directory.exists()
+        assert seen == []
 
     def test_progress_callback_sees_every_cell(self):
         tasks = [make_task(seed=s, steps=50) for s in (1, 2, 3)]

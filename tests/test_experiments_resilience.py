@@ -15,7 +15,6 @@ import time
 import pytest
 
 from repro.experiments.parallel import (
-    BatchRunner,
     CellTask,
     checkpoint_path,
     execute_cells,
@@ -399,13 +398,14 @@ class TestProcessResilience:
 class TestBatchResilience:
     def test_batch_crash_recomputes_group(self, tmp_path):
         tasks = make_tasks(3, steps=200, kernel="batch")
-        clean = BatchRunner(backend="serial").run(tasks)
-        injected = BatchRunner(
+        clean = execute_cells(tasks, backend="serial")
+        injected = execute_cells(
+            tasks,
             backend="serial",
             retry=FAST_RETRY,
             failure=FailurePolicy(mode="retry"),
             fault_spec=crash_rule(tmp_path, times=1),
-        ).run(tasks)
+        )
         assert final_jsons(clean) == final_jsons(injected)
 
     def test_batch_truncation_is_validation_error_not_silent(
@@ -415,44 +415,48 @@ class TestBatchResilience:
         group members was zip-truncated silently.  Now it fails
         validation and the group is recomputed on retry."""
         tasks = make_tasks(3, steps=200, kernel="batch")
-        clean = BatchRunner(backend="serial").run(tasks)
-        injected = BatchRunner(
+        clean = execute_cells(tasks, backend="serial")
+        injected = execute_cells(
+            tasks,
             backend="serial",
             retry=FAST_RETRY,
             failure=FailurePolicy(mode="retry"),
             fault_spec=crash_rule(tmp_path, mode="truncate", times=1),
-        ).run(tasks)
+        )
         assert final_jsons(clean) == final_jsons(injected)
 
     def test_batch_truncation_without_retries_raises(self, tmp_path):
         tasks = make_tasks(3, steps=100, kernel="batch")
         with pytest.raises(ResultValidationError):
-            BatchRunner(
+            execute_cells(
+                tasks,
                 backend="serial",
                 fault_spec=crash_rule(tmp_path, mode="truncate", times=1),
-            ).run(tasks)
+            )
 
     def test_batch_quarantine_fails_whole_group(self, tmp_path):
         tasks = make_tasks(3, steps=100, kernel="batch")
-        partial = BatchRunner(
+        partial = execute_cells(
+            tasks,
             backend="serial",
             checkpoint_dir=tmp_path / "ckpt",
             retry=RetryPolicy(max_retries=0, backoff_base=0.0),
             failure=FailurePolicy(mode="quarantine"),
             fault_spec=crash_rule(tmp_path, times=99),
-        ).run(tasks)
+        )
         assert all(is_failed(r) for r in partial)
         assert len(load_failures_manifest(tmp_path / "ckpt")) == 3
 
     def test_batch_corrupt_member_recomputed(self, tmp_path):
         tasks = make_tasks(3, steps=200, kernel="batch")
-        clean = BatchRunner(backend="serial").run(tasks)
-        injected = BatchRunner(
+        clean = execute_cells(tasks, backend="serial")
+        injected = execute_cells(
+            tasks,
             backend="serial",
             retry=FAST_RETRY,
             failure=FailurePolicy(mode="retry"),
             fault_spec=crash_rule(tmp_path, mode="corrupt", times=1),
-        ).run(tasks)
+        )
         assert final_jsons(clean) == final_jsons(injected)
 
 

@@ -26,7 +26,6 @@ from repro.core.separation_chain import SeparationChain
 from repro.experiments import parallel as parallel_mod
 from repro.experiments import resilience as resilience_mod
 from repro.experiments.parallel import (
-    BatchRunner,
     CellTask,
     execute_cells,
 )
@@ -41,7 +40,13 @@ from repro.experiments.resilience import (
     reset_drain,
     write_drain_manifest,
 )
-from repro.obs import Instrumentation, MetricsRegistry
+from repro.obs import (
+    ChainDiagnostics,
+    DiagnosticsConfig,
+    Instrumentation,
+    MetricsRegistry,
+)
+from repro.obs.convergence import STOP_BUDGET, StopCondition
 from repro.system.initializers import random_blob_system
 from repro.util import codec
 from repro.util.serialization import (
@@ -262,6 +267,58 @@ class TestChainStateRoundTrip:
         assert (list(hooked.system.colors.items())
                 == list(plain.system.colors.items()))
 
+    @pytest.mark.parametrize("backend", ["auto", "grid", "dict"])
+    @pytest.mark.parametrize(
+        "mode, stride",
+        [("run", None), ("run", 100), ("run", 777),
+         ("run_until", 100), ("run_until", 777)],
+    )
+    def test_snapshot_cadence_never_changes_final_order(
+        self, backend, mode, stride
+    ):
+        """Any state-hook cadence — or none — ends in the same ordered dict.
+
+        An emission writes the grid arena back early, but the write-back
+        sorts particles by (last move, prior rank), so successive syncs
+        compose into the order of last moves: the final dict insertion
+        order, the counters and the RNG state are those of a run with no
+        hook at all, under every diagnostics stride and in ``run`` as in
+        ``run_until``.
+        """
+        steps = 20000
+
+        def final(every):
+            chain = SeparationChain(
+                fresh_system(n=60), lam=4.0, gamma=2.0, swaps=True, seed=7,
+                backend=backend,
+            )
+            if stride is not None:
+                chain.instrument(
+                    diagnostics=ChainDiagnostics(DiagnosticsConfig(stride=stride))
+                )
+            emissions = []
+            if every is not None:
+                chain.set_state_hook(
+                    lambda chain: emissions.append(chain.iterations), every
+                )
+            if mode == "run":
+                chain.run(steps)
+            else:
+                unreachable = StopCondition(ess_target=1e18)
+                assert chain.run_until(steps, unreachable) == STOP_BUDGET
+            assert bool(emissions) == (every is not None)
+            return (
+                list(chain.system.colors.items()),
+                chain.iterations,
+                chain.accepted_moves,
+                chain.accepted_swaps,
+                chain.rng.getstate(),
+            )
+
+        reference = final(None)
+        for every in (1, 37, 500, 4999):
+            assert final(every) == reference, every
+
     def test_restore_rejects_parameter_and_system_mismatch(self):
         chain = SeparationChain(fresh_system(), lam=4.0, gamma=2.0, seed=7)
         chain.run(500)
@@ -416,14 +473,16 @@ class TestWarmRestore:
 
     def test_batch_group_bit_identical(self, tmp_path):
         tasks = make_tasks(count=3, kernel="batch", steps=3000, seed0=40)
-        reference = BatchRunner(
+        reference = execute_cells(
+            tasks,
             backend="serial", checkpoint_dir=tmp_path / "ref",
             state_every=500,
-        ).run(tasks)
-        restored = BatchRunner(
+        )
+        restored = execute_cells(
+            tasks,
             backend="serial", checkpoint_dir=tmp_path / "int",
             state_every=500, fault_spec=sigkill_fault(), **RETRY,
-        ).run(tasks)
+        )
         assert any(r.restored_from is not None for r in restored)
         for left, right in zip(restored, reference):
             assert result_signature(left) == result_signature(right)
@@ -431,25 +490,28 @@ class TestWarmRestore:
     def test_batch_pre_tail_carry_frame_cold_starts(self, tmp_path):
         """A drained group's frame rewritten to the older layout is ignored."""
         tasks = make_tasks(count=3, kernel="batch", steps=3000, seed0=140)
-        reference = BatchRunner(
+        reference = execute_cells(
+            tasks,
             backend="serial", checkpoint_dir=tmp_path / "ref",
             state_every=500,
-        ).run(tasks)
+        )
         directory = tmp_path / "int"
         with pytest.raises(DrainInterrupt):
-            BatchRunner(
+            execute_cells(
+                tasks,
                 backend="serial", checkpoint_dir=directory, state_every=500,
                 fault_spec={"mode": "preempt", "match": "*", "times": 1,
                             "after_snapshots": 3},
-            ).run(tasks)
+            )
         (state_file,) = directory.glob("*.state.bin")
         state = codec.decode_state(state_file.read_bytes())
         state_file.write_bytes(codec.encode_state(legacy_stream_layout(state)))
         with pytest.warns(RuntimeWarning, match="unusable state snapshot"):
-            resumed = BatchRunner(
+            resumed = execute_cells(
+                tasks,
                 backend="serial", checkpoint_dir=directory, state_every=500,
                 resume=True,
-            ).run(tasks)
+            )
         assert all(r.restored_from is None for r in resumed)
         for left, right in zip(resumed, reference):
             assert result_signature(left) == result_signature(right)
